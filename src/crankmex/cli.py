@@ -2,7 +2,8 @@
 
 Partitions are passed as comma-separated parts in non-increasing order; the
 empty string denotes the empty partition.  Exit codes: 0 success / all checks
-pass, 1 domain or parse error, 2 verification failure, 3 internal error.
+pass, 1 domain or parse error, 2 verification failure, 3 internal error (any
+other exception, which is a bug).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 
 from . import maps
-from .core import DomainError, IterationLimitError, Partition, PartitionError
+from .core import DomainError, Partition, PartitionError
 from .verify import run_theorem_suite
 
 __all__ = ["main"]
@@ -33,6 +34,21 @@ _NO_J_MAPS = {
     "negate-crank": maps.negate_crank,
 }
 _ALL_MAPS = sorted(_TRACED_MAPS | _PLAIN_MAPS | _NO_J_MAPS)
+
+# Upper bound on --max-j: both commands loop over every j up to it, so the
+# bound keeps every accepted value finishing in bounded time.
+MAX_J = 1000
+
+
+def _max_j(text: str) -> int:
+    """argparse type of ``--max-j``: an integer in ``0..MAX_J``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value <= MAX_J:
+        raise argparse.ArgumentTypeError(f"must lie in 0..{MAX_J}, got {value}")
+    return value
 
 
 def _cell(lam: Partition) -> str:
@@ -261,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="print all statistics for one partition")
     p_stats.add_argument("partition")
-    p_stats.add_argument("--max-j", type=int, default=8)
+    p_stats.add_argument("--max-j", type=_max_j, default=8, help=f"0..{MAX_J}")
     common(p_stats)
     p_stats.set_defaults(handler=_cmd_stats)
 
@@ -287,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the exhaustive theorem suite")
     p_verify.add_argument("--max-n", type=int, default=25)
-    p_verify.add_argument("--max-j", type=int, default=12)
+    p_verify.add_argument("--max-j", type=_max_j, default=12, help=f"0..{MAX_J}")
     common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -306,11 +322,8 @@ def main(argv=None) -> int:
     except (PartitionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IterationLimitError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # anything else is a bug, not a bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -45,8 +45,39 @@ class IterationLimitError(RuntimeError):
 
 
 def _check_nonnegative(name: str, value: int) -> None:
+    if type(value) is int and value >= 0:
+        return
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _checked_weight(seq: tuple) -> int:
+    """Weight of ``seq`` validated part by part; raises at the first bad part."""
+    total = 0
+    prev = None
+    for pos, value in enumerate(seq, 1):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise PartitionError(f"part #{pos} is not an integer: {value!r}")
+        if value < 1:
+            raise PartitionError(f"part #{pos} must be positive, got {value}")
+        if prev is not None and value > prev:
+            raise PartitionError(
+                f"parts must be non-increasing: part #{pos} ({value}) "
+                f"exceeds part #{pos - 1} ({prev})"
+            )
+        prev = value
+        total += value
+    return total
+
+
+def _durfee_size(parts: tuple[int, ...], j: int) -> int:
+    """Unchecked :meth:`Partition.durfee_size` for a validated ``j``."""
+    d = 0
+    for p in parts:
+        if p - d <= j:
+            break
+        d += 1
+    return d
 
 
 class Partition:
@@ -70,18 +101,15 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         seq = tuple(parts)
+        # One tight pass accepts the common case: exact ints, positive and
+        # non-increasing.  Anything else is handed to _checked_weight, which
+        # accepts int subclasses and raises the exact message for a bad part.
         total = 0
-        prev = None
-        for pos, value in enumerate(seq, 1):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise PartitionError(f"part #{pos} is not an integer: {value!r}")
-            if value < 1:
-                raise PartitionError(f"part #{pos} must be positive, got {value}")
-            if prev is not None and value > prev:
-                raise PartitionError(
-                    f"parts must be non-increasing: part #{pos} ({value}) "
-                    f"exceeds part #{pos - 1} ({prev})"
-                )
+        prev = seq[0] if seq else 0
+        for value in seq:
+            if type(value) is not int or not 1 <= value <= prev:
+                total = _checked_weight(seq)
+                break
             prev = value
             total += value
         if total > MAX_WEIGHT:
@@ -216,13 +244,7 @@ class Partition:
         the index is well defined; it is 0 for the empty partition.
         """
         _check_nonnegative("j", j)
-        d = 0
-        for i, p in enumerate(self._parts, 1):
-            if p - i >= j:
-                d = i
-            else:
-                break
-        return d
+        return _durfee_size(self._parts, j)
 
     def has_arm(self, j: int) -> bool:
         """Whether some index ``i >= 1`` has ``part(i) - i == j``.
@@ -231,7 +253,7 @@ class Partition:
         lengths of the Durfee decomposition, hence the name.
         """
         _check_nonnegative("j", j)
-        d = self.durfee_size(j)
+        d = _durfee_size(self._parts, j)
         return d > 0 and self._parts[d - 1] - d == j
 
     def avoids_arm(self, j: int) -> bool:
@@ -355,5 +377,7 @@ def mex_join(j: int, run: int, rest: Partition) -> Partition:
         raise DomainError(
             f"rest must not contain the part {j + run + 1} excluded by the mex split"
         )
+    if run == 0:
+        return rest
     buf = sorted(rest.parts + tuple(range(j + 1, j + run + 1)), reverse=True)
     return Partition(buf)

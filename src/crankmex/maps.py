@@ -18,7 +18,9 @@ which forces the crank down to ``-j`` or below), the crank-negating involution
 :func:`crank_to_mex` that carries the odd-mex class with a part ``j`` onto the
 partitions of crank at least ``j``.
 
-Every function is pure; traces are freshly allocated per call.
+Every function is pure; traces are freshly allocated per call.  States
+(:class:`PairState`) and trace steps (:class:`TraceStep`) are named tuples,
+so they compare and hash by their fields.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import (
     DomainError,
     IterationLimitError,
     Partition,
+    _check_nonnegative,
     mex_join,
     mex_split,
     staircase,
@@ -63,25 +66,36 @@ __all__ = [
 FIXED_POINT = 0
 
 
-@dataclass(frozen=True, slots=True)
-class PairState:
-    """A pair (staircase, partition) acted on by the step maps.
-
-    ``k`` is the half-length index: the staircase has length ``2k`` in even
-    mode and ``2k + 1`` in odd mode.  The staircase itself is implied by
-    ``(j, k, odd)`` and never materialised unless asked for.
-    """
-
+class _PairFields(NamedTuple):
     j: int
     k: int
     lam: Partition
     odd: bool = False
 
-    def __post_init__(self):
-        if not isinstance(self.j, int) or isinstance(self.j, bool) or self.j < 0:
-            raise DomainError(f"j must be a non-negative integer, got {self.j!r}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
-            raise DomainError(f"k must be a non-negative integer, got {self.k!r}")
+
+class PairState(_PairFields):
+    """A pair (staircase, partition) acted on by the step maps.
+
+    ``k`` is the half-length index: the staircase has length ``2k`` in even
+    mode and ``2k + 1`` in odd mode.  The staircase itself is implied by
+    ``(j, k, odd)`` and never materialised unless asked for.
+
+    A named tuple of ``(j, k, lam, odd)``: immutable, hashable and equal to
+    any tuple with the same fields.  Construction rejects a ``j`` or ``k``
+    that is not a non-negative integer with :class:`DomainError`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, j: int, k: int, lam: Partition, odd: bool = False):
+        _check_nonnegative("j", j)
+        _check_nonnegative("k", k)
+        return tuple.__new__(cls, (j, k, lam, odd))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both go through the checks above
+        return cls(*iterable)
 
     @property
     def staircase_len(self) -> int:
@@ -112,8 +126,7 @@ class StepResult(NamedTuple):
     d: int  # the shifted Durfee size the dispatch used
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     direction: str  # "fold" or "unfold"
     case: int
     d: int
@@ -232,11 +245,13 @@ def _iterate(
     finished: Callable[[PairState], bool],
     direction: str,
 ) -> tuple[PairState, Trace]:
+    if finished(start):
+        return start, Trace(direction, start, start, ())
     # Loose cap; legal runs finish far earlier, so exceeding it is a bug.
     cap = 2 * start.pair_weight + 2 * start.k + 4
     cur = start
     steps: list[TraceStep] = []
-    while not finished(cur):
+    while True:
         result = stepper(cur)
         if result.case == FIXED_POINT:
             raise IterationLimitError(
@@ -246,11 +261,12 @@ def _iterate(
         if len(steps) > cap:
             raise IterationLimitError(f"{direction} iteration exceeded the cap of {cap} steps")
         cur = result.state
-    return cur, Trace(direction, start, cur, tuple(steps))
+        if finished(cur):
+            return cur, Trace(direction, start, cur, tuple(steps))
 
 
 def _fold_finished(state: PairState) -> bool:
-    return state.k == 0 and state.lam.avoids_arm(state.top)
+    return state.k == 0 and not state.lam.has_arm(state.top)
 
 
 def _unfold_finished(state: PairState) -> bool:

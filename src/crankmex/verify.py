@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import DomainError, IterationLimitError, Partition, PartitionError
+from .core import DomainError, Partition
 from . import maps
 
 __all__ = [
@@ -40,9 +40,9 @@ def _raw_partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 def partitions_of(n: int, *, limit: int = ENUMERATION_LIMIT) -> Iterator[Partition]:
     """Yield every partition of ``n`` once, in lexicographically decreasing order."""
     if n < 0:
-        raise ValueError(f"cannot enumerate partitions of {n}")
+        raise DomainError(f"cannot enumerate partitions of {n}")
     if n > limit:
-        raise ValueError(f"enumeration limit is {limit}, got weight {n}")
+        raise DomainError(f"enumeration limit is {limit}, got weight {n}")
     for raw in _raw_partitions(n, n):
         yield Partition(raw)
 
@@ -106,7 +106,7 @@ def partition_series(order: int) -> list[int]:
     integers throughout.
     """
     if order < 0:
-        raise ValueError("order must be non-negative")
+        raise DomainError("order must be non-negative")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for part in range(1, order + 1):
@@ -124,7 +124,7 @@ def odd_mex_series(j: int, order: int) -> list[int]:
     the number avoiding arm ``j``.
     """
     if j < 0:
-        raise ValueError("j must be non-negative")
+        raise DomainError("j must be non-negative")
     base = partition_series(order)
     out = [0] * (order + 1)
     k = 0
@@ -212,7 +212,7 @@ class _Suite:
         """Run ``fn``; it returns a failure description or None."""
         try:
             failure = fn()
-        except (DomainError, PartitionError, IterationLimitError) as exc:
+        except Exception as exc:  # a crashing check is a failed cell, not an aborted run
             self.record(name, n, j, "fail", note=f"raised {type(exc).__name__}: {exc}")
             return
         if failure is None:
@@ -238,9 +238,10 @@ class _Suite:
             if preserve is not None and not preserve(lam, image):
                 return lam.to_text(), "conserved quantity broken"
             fwd[lam] = image
-        if len(set(fwd.values())) != len(fwd):
+        images = set(fwd.values())
+        if len(images) != len(fwd):
             return None, "forward map is not injective"
-        if set(fwd.values()) != set(codomain):
+        if images != set(codomain):
             return None, "forward image differs from the stated codomain"
         for nu in codomain:
             back = backward(nu)
@@ -293,10 +294,10 @@ class _Suite:
         return None
 
     def _run_cell(self, n, j, plist, cranks, series_value):
-        odd_mex = [lam for lam in plist if lam.has_odd_mex(j)]
-        arm_free = [lam for lam in plist if lam.avoids_arm(j)]
-        even_mex = [lam for lam in plist if not lam.has_odd_mex(j)]
-        arm_bearing = [lam for lam in plist if lam.has_arm(j)]
+        odd_mex, even_mex, arm_free, arm_bearing = [], [], [], []
+        for lam in plist:
+            (odd_mex if lam.has_odd_mex(j) else even_mex).append(lam)
+            (arm_bearing if lam.has_arm(j) else arm_free).append(lam)
 
         self.check(
             "count-odd-mex-vs-arm-free", n, j,
@@ -377,7 +378,7 @@ class _Suite:
 
     @staticmethod
     def _small_parts(lam, j):
-        return tuple(p for p in lam.parts if p <= j)
+        return lam.parts[lam.count_above(j):]
 
     @staticmethod
     def _crank_criterion(plist, cranks, j):
@@ -396,9 +397,9 @@ def run_theorem_suite(max_weight: int = 25, max_j: int = 12) -> VerificationRepo
     where one exists.
     """
     if max_weight > ENUMERATION_LIMIT:
-        raise ValueError(f"max_weight is capped at {ENUMERATION_LIMIT}")
+        raise DomainError(f"max_weight is capped at {ENUMERATION_LIMIT}")
     if max_weight < 0 or max_j < 0:
-        raise ValueError("bounds must be non-negative")
+        raise DomainError("bounds must be non-negative")
     suite = _Suite(max_weight, max_j)
     suite.run()
     return suite.report

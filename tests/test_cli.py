@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -129,6 +130,43 @@ def test_table_rejects_weight_below_two(capsys):
     code, _, err = run_cli(capsys, "table", "--weight", "1")
     assert code == 1
     assert "weight at least 2" in err
+
+
+def test_table_over_enumeration_limit_exits_one(capsys):
+    code, _, err = run_cli(capsys, "table", "--weight", "61")
+    assert code == 1
+    assert err.startswith("error: enumeration limit")
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, TypeError])
+def test_internal_exception_exits_three(capsys, monkeypatch, exc_type):
+    def broken(j, lam):
+        raise exc_type("bug inside a map")
+
+    monkeypatch.setitem(cli._PLAIN_MAPS, "mex-to-crank", broken)
+    code, out, err = run_cli(capsys, "map", "mex-to-crank", "3,2", "--j", "0")
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {exc_type.__name__}: bug inside a map\n"
+
+
+@pytest.mark.parametrize("command", [["stats", "3,2"], ["verify", "--max-n", "3"]])
+@pytest.mark.parametrize("max_j", ["100000000", "-1", "1001", "x"])
+def test_max_j_out_of_range_exits_one_at_once(capsys, command, max_j):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, "--max-j", max_j)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "--max-j" in err
+
+
+def test_stats_accepts_the_max_j_cap(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "stats", "3,2", "--max-j", str(cli.MAX_J))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[-1].split()[:2] == [str(cli.MAX_J), str(cli.MAX_J + 1)]
 
 
 def test_verify_small_bounds(capsys, tmp_path):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from crankmex import (
+    MAX_WEIGHT,
     DomainError,
     DurfeeTriple,
     Partition,
@@ -11,6 +12,7 @@ from crankmex import (
     mex_split,
     staircase,
 )
+from crankmex.core import _check_nonnegative
 
 
 def P(text):
@@ -52,6 +54,37 @@ def test_rejects_non_integers():
         Partition((2.5,))
     with pytest.raises(PartitionError, match="entry #2"):
         Partition.from_text("3,x")
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        ((3, True), "part #2 is not an integer: True"),
+        ((2.0,), "part #1 is not an integer: 2.0"),
+        ((3, 0), "part #2 must be positive, got 0"),
+        ((2, 3, 0), "parts must be non-increasing: part #2 (3) exceeds part #1 (2)"),
+        ((MAX_WEIGHT, 1), f"weight {MAX_WEIGHT + 1} exceeds the supported maximum {MAX_WEIGHT}"),
+    ],
+)
+def test_rejection_messages(parts, message):
+    with pytest.raises(PartitionError) as info:
+        Partition(parts)
+    assert str(info.value) == message
+
+
+def test_accepts_int_subclass_parts():
+    class Count(int):
+        pass
+
+    lam = Partition((Count(3), 2, Count(2)))
+    assert lam == Partition((3, 2, 2))
+    assert lam.weight == 7
+
+
+def test_check_nonnegative_rejects_bool():
+    with pytest.raises(DomainError, match="got True"):
+        _check_nonnegative("j", True)
+    _check_nonnegative("j", 0)
 
 
 def test_text_round_trip():

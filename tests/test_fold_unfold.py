@@ -5,6 +5,7 @@ from crankmex import (
     DomainError,
     PairState,
     Partition,
+    TraceStep,
     attach_step,
     detach_step,
     fold,
@@ -69,6 +70,37 @@ def test_fold_step_rejects_terminal_state():
 def test_unfold_step_rejects_terminal_state():
     with pytest.raises(DomainError):
         unfold_step(PairState(1, 2, P("11,8,7,7,5,2")))  # no part 6
+
+
+@pytest.mark.parametrize(
+    "j,k,message",
+    [
+        (-1, 0, "j must be a non-negative integer, got -1"),
+        (0, True, "k must be a non-negative integer, got True"),
+        (1.0, -1, "j must be a non-negative integer, got 1.0"),
+        (0, -1, "k must be a non-negative integer, got -1"),
+    ],
+)
+def test_pair_state_rejects_bad_indices(j, k, message):
+    with pytest.raises(DomainError) as info:
+        PairState(j, k, P(""))
+    assert str(info.value) == message
+    with pytest.raises(DomainError) as info:
+        PairState(0, 0, P(""))._replace(j=j, k=k)
+    assert str(info.value) == message
+
+
+def test_states_and_steps_are_immutable_values():
+    state = PairState(1, 2, P("3,1"), odd=True)
+    assert state == PairState(1, 2, P("3,1"), True) == (1, 2, P("3,1"), True)
+    assert state != PairState(1, 2, P("3,1"))
+    assert hash(state) == hash(PairState(1, 2, P("3,1"), odd=True))
+    step = TraceStep("fold", 1, 2, state, state)
+    assert step == TraceStep("fold", 1, 2, state, state)
+    assert len({step, TraceStep("fold", 1, 2, state, state)}) == 1
+    for value, field in ((state, "k"), (step, "case")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
 
 
 def test_fixed_points_are_tagged():

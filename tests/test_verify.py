@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import crankmex.maps
 from crankmex import (
     CheckResult,
+    DomainError,
     Partition,
     VerificationReport,
     count_matching,
@@ -35,9 +37,9 @@ def test_partitions_are_lexicographically_decreasing():
 
 
 def test_enumeration_limit():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         next(partitions_of(61))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         next(partitions_of(-1))
 
 
@@ -114,6 +116,32 @@ def test_crank_table_symmetry():
     assert crank_table(14).symmetry_failures() == []
 
 
+def test_crank_table_matches_andrews_garvan_generating_function():
+    # sum_n M(m, n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^(k-1) q^(k(k-1)/2 + k|m|) (1 - q^k)
+    # (Andrews and Garvan, Bull. AMS 18, 1988), expanded with exact integers
+    # up to q^30 without any crankmex code.
+    order = 30
+    p = [1] + [0] * order  # 1/(q)_inf: partition counts by the part-size recurrence
+    for part in range(1, order + 1):
+        for n in range(part, order + 1):
+            p[n] += p[n - part]
+    table = crank_table(order)
+    for m in range(-order - 1, order + 2):
+        sparse = [0] * (order + 1)
+        k = 1
+        while k * (k - 1) // 2 + k * abs(m) <= order:
+            exponent = k * (k - 1) // 2 + k * abs(m)
+            sign = 1 if k % 2 else -1
+            sparse[exponent] += sign
+            if exponent + k <= order:
+                sparse[exponent + k] -= sign
+            k += 1
+        for n in range(order + 1):
+            coefficient = sum(sparse[e] * p[n - e] for e in range(n + 1))
+            assert table.count(m, n) == coefficient, (m, n)
+    assert [table.count(m, 1) for m in (-1, 0, 1)] == [1, -1, 1]
+
+
 # -- the suite -------------------------------------------------------------------
 
 
@@ -155,7 +183,45 @@ def test_suite_summary_mentions_failures():
 
 
 def test_suite_bounds_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         run_theorem_suite(61, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         run_theorem_suite(-1, 0)
+    with pytest.raises(DomainError):
+        run_theorem_suite(5, -1)
+
+
+def test_series_reject_negative_arguments():
+    with pytest.raises(DomainError):
+        partition_series(-1)
+    with pytest.raises(DomainError):
+        odd_mex_series(-1, 5)
+
+
+def test_suite_records_a_crashing_check_as_a_failed_cell(monkeypatch):
+    expected = run_theorem_suite(6, 2).results
+    fold = crankmex.maps.fold
+
+    def fold_failing_at_weight_four(j, lam):
+        if lam.weight == 4:
+            raise ValueError("list.remove(x): x not in list")
+        return fold(j, lam)
+
+    monkeypatch.setattr(crankmex.maps, "fold", fold_failing_at_weight_four)
+    report = run_theorem_suite(6, 2)
+    assert [(r.name, r.n, r.j) for r in report.results] == [
+        (r.name, r.n, r.j) for r in expected
+    ]
+    failed = {(r.name, r.n, r.j) for r in report.failures}
+    # mex_to_crank folds as well, so its cells at weight 4 fail with fold's
+    assert {(name, n, j) for name, n, j in failed if name == "bijection-fold"} == {
+        ("bijection-fold", 4, j) for j in range(3)
+    }
+    assert {(name, n) for name, n, _ in failed} <= {
+        ("bijection-fold", 4), ("bijection-mex-to-crank", 4)
+    }
+    for got, want in zip(report.results, expected):
+        if (got.name, got.n, got.j) in failed:
+            assert got.note == "raised ValueError: list.remove(x): x not in list"
+        else:
+            assert got == want
