@@ -9,7 +9,9 @@ other exception, which is a bug).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import maps
@@ -39,16 +41,29 @@ _ALL_MAPS = sorted(_TRACED_MAPS | _PLAIN_MAPS | _NO_J_MAPS)
 # bound keeps every accepted value finishing in bounded time.
 MAX_J = 1000
 
+# Upper bound on verify --max-n.  The suite's time roughly doubles every +3 in
+# weight: at this bound and --max-j 12 it takes about two minutes (28 s at 34
+# on a 2.0 GHz Xeon), at the enumeration limit (60) hours.
+MAX_VERIFY_WEIGHT = 40
 
-def _max_j(text: str) -> int:
-    """argparse type of ``--max-j``: an integer in ``0..MAX_J``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value <= MAX_J:
-        raise argparse.ArgumentTypeError(f"must lie in 0..{MAX_J}, got {value}")
-    return value
+
+class _OutputError(Exception):
+    """The ``--output`` path cannot be written: a user error, exit 1."""
+
+
+def _int_in(limit: int):
+    """argparse type of an integer option that must lie in ``0..limit``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not 0 <= value <= limit:
+            raise argparse.ArgumentTypeError(f"must lie in 0..{limit}, got {value}")
+        return value
+
+    return parse
 
 
 def _cell(lam: Partition) -> str:
@@ -64,18 +79,53 @@ def _columns(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
     ]
 
 
+def _cannot_write(path: str, exc: OSError) -> _OutputError:
+    return _OutputError(f"cannot write --output {path}: {exc.strerror or exc}")
+
+
+def _write_records(path: str, records: list[dict]) -> None:
+    """Write ``records`` to ``path`` as JSON lines.
+
+    A regular file, or a new one, is written as a temporary file beside it
+    that replaces it only when complete, so a failed run never leaves a
+    truncated file.  A symlink, device or pipe (``/dev/stdout``) is written
+    in place, since a replace would swap the link or the device node for a
+    regular file.  An ``OSError`` becomes an :class:`_OutputError`.
+    """
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    in_place = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        if in_place:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return
+        handle = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise _cannot_write(path, exc) from None
+        raise
+
+
 def _emit(args, lines: list[str], records: list[dict]) -> None:
+    # the file first, so an unwritable --output fails before anything is printed
+    output = getattr(args, "output", None)
+    if output and output != "-":
+        _write_records(output, records)
     if args.format == "records":
         for record in records:
             print(json.dumps(record, sort_keys=True))
     else:
         for line in lines:
             print(line)
-    output = getattr(args, "output", None)
-    if output and output != "-":
-        with open(output, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _cmd_stats(args) -> int:
@@ -277,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="print all statistics for one partition")
     p_stats.add_argument("partition")
-    p_stats.add_argument("--max-j", type=_max_j, default=8, help=f"0..{MAX_J}")
+    p_stats.add_argument("--max-j", type=_int_in(MAX_J), default=8, help=f"0..{MAX_J}")
     common(p_stats)
     p_stats.set_defaults(handler=_cmd_stats)
 
@@ -302,8 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(handler=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the exhaustive theorem suite")
-    p_verify.add_argument("--max-n", type=int, default=25)
-    p_verify.add_argument("--max-j", type=_max_j, default=12, help=f"0..{MAX_J}")
+    p_verify.add_argument(
+        "--max-n", type=_int_in(MAX_VERIFY_WEIGHT), default=25, help=f"0..{MAX_VERIFY_WEIGHT}"
+    )
+    p_verify.add_argument("--max-j", type=_int_in(MAX_J), default=12, help=f"0..{MAX_J}")
     common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -319,7 +371,7 @@ def main(argv=None) -> int:
         return 1 if code == 2 else int(code)
     try:
         return args.handler(args)
-    except (PartitionError, DomainError) as exc:
+    except (PartitionError, DomainError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a bug, not a bad input

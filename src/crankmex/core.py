@@ -70,6 +70,10 @@ def _checked_weight(seq: tuple) -> int:
     return total
 
 
+def _too_heavy(total: int) -> PartitionError:
+    return PartitionError(f"weight {total} exceeds the supported maximum {MAX_WEIGHT}")
+
+
 def _durfee_size(parts: tuple[int, ...], j: int) -> int:
     """Unchecked :meth:`Partition.durfee_size` for a validated ``j``."""
     d = 0
@@ -113,7 +117,7 @@ class Partition:
             prev = value
             total += value
         if total > MAX_WEIGHT:
-            raise PartitionError(f"weight {total} exceeds the supported maximum {MAX_WEIGHT}")
+            raise _too_heavy(total)
         self._parts = seq
         self._weight = total
 
@@ -141,9 +145,6 @@ class Partition:
 
     def __lt__(self, other: "Partition") -> bool:
         return self._parts < other._parts
-
-    def __le__(self, other: "Partition") -> bool:
-        return self._parts <= other._parts
 
     def __repr__(self) -> str:
         return f"Partition({self._parts!r})"
@@ -317,6 +318,29 @@ class Partition:
         return cls(buf)
 
 
+def _sealed(buf: list) -> Partition:
+    """Partition of the parts in ``buf``, which is sorted here in place.
+
+    For maps whose output parts come from integer arithmetic on the parts of
+    a partition already validated.  The sort sets the order, so unlike the
+    public constructor this does not walk the parts: it checks only what the
+    sort leaves open, a positive smallest part and an exact ``int`` weight
+    (a float, ``Decimal`` or ``Fraction`` part makes the sum one), and the
+    weight cap.  The weight is always recomputed, never taken on trust.
+    """
+    buf.sort(reverse=True)
+    total = sum(buf)
+    if type(total) is not int or (buf and buf[-1] < 1):
+        _checked_weight(tuple(buf))  # raises the public constructor's message
+        raise PartitionError(f"parts do not sum to an integer: {total!r}")
+    if total > MAX_WEIGHT:
+        raise _too_heavy(total)
+    lam = object.__new__(Partition)
+    lam._parts = tuple(buf)
+    lam._weight = total
+    return lam
+
+
 class DurfeeTriple(NamedTuple):
     """Durfee decomposition of a partition: square size plus arm/leg lengths."""
 
@@ -363,7 +387,7 @@ def mex_split(j: int, lam: Partition) -> MexDecomposition:
             pending.remove(p)
         else:
             buf.append(p)
-    return MexDecomposition(j, run, Partition(buf))
+    return MexDecomposition(j, run, _sealed(buf))
 
 
 def mex_join(j: int, run: int, rest: Partition) -> Partition:
@@ -379,5 +403,6 @@ def mex_join(j: int, run: int, rest: Partition) -> Partition:
         )
     if run == 0:
         return rest
-    buf = sorted(rest.parts + tuple(range(j + 1, j + run + 1)), reverse=True)
-    return Partition(buf)
+    buf = list(rest.parts)
+    buf.extend(range(j + 1, j + run + 1))
+    return _sealed(buf)

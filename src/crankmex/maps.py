@@ -33,9 +33,9 @@ from .core import (
     IterationLimitError,
     Partition,
     _check_nonnegative,
+    _sealed,
     mex_join,
     mex_split,
-    staircase,
 )
 
 __all__ = [
@@ -78,7 +78,8 @@ class PairState(_PairFields):
 
     ``k`` is the half-length index: the staircase has length ``2k`` in even
     mode and ``2k + 1`` in odd mode.  The staircase itself is implied by
-    ``(j, k, odd)`` and never materialised unless asked for.
+    ``(j, k, odd)`` and never materialised; ``core.staircase(j, staircase_len)``
+    builds it.
 
     A named tuple of ``(j, k, lam, odd)``: immutable, hashable and equal to
     any tuple with the same fields.  Construction rejects a ``j`` or ``k``
@@ -105,10 +106,6 @@ class PairState(_PairFields):
     def top(self) -> int:
         """Largest staircase part, or ``j`` itself when the staircase is empty."""
         return self.j + self.staircase_len
-
-    @property
-    def staircase(self) -> Partition:
-        return staircase(self.j, self.staircase_len)
 
     @property
     def pair_weight(self) -> int:
@@ -145,6 +142,15 @@ class Trace:
         return len(self.steps)
 
 
+def _with(state: PairState, k: int, lam: Partition) -> PairState:
+    """``state`` with ``k`` and ``lam`` replaced, without the checks of ``__new__``.
+
+    ``j`` and ``odd`` come from a state already checked.  The step maps pass
+    ``k``, ``k + 1`` or ``k - 1``, the last only after ``k == 0`` has raised.
+    """
+    return tuple.__new__(PairState, (state.j, k, lam, state.odd))
+
+
 def fold_step(state: PairState) -> StepResult:
     """One move toward a shorter staircase.
 
@@ -174,10 +180,7 @@ def fold_step(state: PairState) -> StepResult:
         buf = [p + 1 for p in parts[: d - 1]]
         buf.extend(parts[d:])
         buf.append(s + 1)
-        buf.sort(reverse=True)
-        return StepResult(
-            PairState(state.j, state.k, Partition(buf), state.odd), 1, d
-        )
+        return StepResult(_with(state, state.k, _sealed(buf)), 1, d)
     if state.k == 0:
         raise DomainError(
             "cannot fold a terminal state: staircase exhausted and no arm "
@@ -187,10 +190,7 @@ def fold_step(state: PairState) -> StepResult:
     buf.extend(parts[d:])
     buf.append(d + s)
     buf.append(s - 1)
-    buf.sort(reverse=True)
-    return StepResult(
-        PairState(state.j, state.k - 1, Partition(buf), state.odd), 2, d
-    )
+    return StepResult(_with(state, state.k - 1, _sealed(buf)), 2, d)
 
 
 def unfold_step(state: PairState) -> StepResult:
@@ -222,10 +222,7 @@ def unfold_step(state: PairState) -> StepResult:
         tail = list(parts[d:])
         tail.remove(target)
         buf.extend(tail)
-        buf.sort(reverse=True)
-        return StepResult(
-            PairState(state.j, state.k + 1, Partition(buf), state.odd), 1, d
-        )
+        return StepResult(_with(state, state.k + 1, _sealed(buf)), 1, d)
     if d == 0:
         return StepResult(state, FIXED_POINT, d)
     buf = [p - 1 for p in parts[:d]]
@@ -233,10 +230,7 @@ def unfold_step(state: PairState) -> StepResult:
     tail.remove(target)
     buf.extend(tail)
     buf.append(d + target)
-    buf.sort(reverse=True)
-    return StepResult(
-        PairState(state.j, state.k, Partition(buf), state.odd), 2, d
-    )
+    return StepResult(_with(state, state.k, _sealed(buf)), 2, d)
 
 
 def _iterate(
@@ -320,8 +314,7 @@ def detach_step(j: int, lam: Partition) -> Partition:
     parts = lam.parts
     buf = [p + 1 for p in parts[: d - 1]]
     buf.extend(parts[d:])
-    buf.sort(reverse=True)
-    return Partition(buf)
+    return _sealed(buf)
 
 
 def attach_step(j: int, lam: Partition) -> Partition:
@@ -333,8 +326,7 @@ def attach_step(j: int, lam: Partition) -> Partition:
     buf = [p - 1 for p in parts[:d]]
     buf.append(j + 1 + d)
     buf.extend(parts[d:])
-    buf.sort(reverse=True)
-    return Partition(buf)
+    return _sealed(buf)
 
 
 def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
@@ -384,8 +376,7 @@ def to_low_crank(j: int, lam: Partition) -> Partition:
         tail.remove(j)
     buf.extend(tail)
     buf.extend([1] * (d + j))
-    buf.sort(reverse=True)
-    return Partition(buf)
+    return _sealed(buf)
 
 
 def from_low_crank(j: int, lam: Partition) -> Partition:
@@ -409,8 +400,7 @@ def from_low_crank(j: int, lam: Partition) -> Partition:
         buf.pop()
     if j:
         buf.append(j)
-    buf.sort(reverse=True)
-    return Partition(buf)
+    return _sealed(buf)
 
 
 def negate_crank(lam: Partition) -> Partition:
@@ -436,8 +426,8 @@ def negate_crank(lam: Partition) -> Partition:
     r = max(ones, parts[1] - 1)
     conj = lam.conjugate().parts
     buf = [conj[1] + parts[0] - r]
-    buf.extend(1 + conj[i - 1] for i in range(2, ones + 1))
-    buf.extend(conj[i] for i in range(ones + 1, r + 1))
+    buf.extend([c + 1 for c in conj[1:ones]])
+    buf.extend(conj[ones + 1 : r + 1])
     buf.extend([1] * tall)
     return Partition(buf)
 

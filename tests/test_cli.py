@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -161,6 +162,21 @@ def test_max_j_out_of_range_exits_one_at_once(capsys, command, max_j):
     assert "--max-j" in err
 
 
+@pytest.mark.parametrize("max_n", [str(cli.MAX_VERIFY_WEIGHT + 1), "-1", "x"])
+def test_verify_max_n_out_of_range_exits_one_at_once(capsys, max_n):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--max-n", max_n)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "--max-n" in err
+
+
+def test_verify_help_states_the_max_n_bound(capsys):
+    assert cli.main(["verify", "--help"]) == 0
+    assert f"0..{cli.MAX_VERIFY_WEIGHT}" in capsys.readouterr().out
+
+
 def test_stats_accepts_the_max_j_cap(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "stats", "3,2", "--max-j", str(cli.MAX_J))
@@ -179,6 +195,57 @@ def test_verify_small_bounds(capsys, tmp_path):
     records = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert all(r["status"] in ("pass", "skip") for r in records)
     assert any(r["name"] == "bijection-fold" for r in records)
+
+
+@pytest.mark.parametrize("target", ["missing/report.jsonl", "."])
+def test_unwritable_output_exits_one_before_printing(capsys, tmp_path, target):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "stats", "3", "--output", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write --output {path}: ")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_records_are_the_printed_records(capsys, tmp_path):
+    path = tmp_path / "report.jsonl"
+    path.write_text("stale line, longer than anything the command writes\n" * 200)
+    code, out, _ = run_cli(
+        capsys, "verify", "--max-n", "6", "--max-j", "2", "--format", "records",
+        "--output", str(path),
+    )
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+    assert os.listdir(tmp_path) == ["report.jsonl"]
+
+
+def test_output_through_a_symlink_keeps_the_link(capsys, tmp_path):
+    real = tmp_path / "real.jsonl"
+    real.write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    code, out, _ = run_cli(capsys, "stats", "3", "--format", "records", "--output", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert real.read_bytes() == out.encode()
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "real.jsonl"]
+
+
+def test_failed_output_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "report.jsonl"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run_cli(capsys, "stats", "3", "--output", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write --output {path}: Permission denied\n"
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["report.jsonl"]
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -1,0 +1,108 @@
+"""The sorted-buffer constructor ``core._sealed`` against the public one.
+
+The step maps and bijections build their outputs through ``_sealed``, which
+sorts the buffer and so leaves out the order check of ``Partition(...)``.
+Patching it to "sort, then ``Partition(buf)``" switches every check back on;
+the outputs must not change.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import crankmex
+from crankmex import (
+    MAX_WEIGHT,
+    DomainError,
+    Partition,
+    PartitionError,
+    crank_to_mex,
+    fold,
+    fold_complement,
+    mex_to_crank,
+    negate_crank,
+    partitions_of,
+    run_theorem_suite,
+    unfold,
+    unfold_complement,
+)
+from crankmex import cli, core, maps, verify
+from crankmex.core import _sealed
+
+_MODULES = (crankmex, core, maps, verify, cli)
+
+
+def _patch_sealed(monkeypatch, replacement):
+    """Rebind ``_sealed`` in every module that binds the name."""
+    patched = [m for m in _MODULES if getattr(m, "_sealed", None) is _sealed]
+    assert core in patched and maps in patched
+    for module in patched:
+        monkeypatch.setattr(module, "_sealed", replacement)
+
+
+def _full_check(buf):
+    buf.sort(reverse=True)
+    return Partition(buf)
+
+
+def _map_outputs(max_n):
+    out = []
+    for n in range(max_n + 1):
+        for lam in partitions_of(n):
+            for j in range(4):
+                for f in (fold, unfold, fold_complement, unfold_complement,
+                          mex_to_crank, crank_to_mex):
+                    try:
+                        result = f(j, lam)
+                    except DomainError as exc:
+                        out.append(str(exc))
+                        continue
+                    image, trace = result if isinstance(result, tuple) else (result, None)
+                    out.append((image.parts, image.weight, trace))
+    return out
+
+
+def test_sealed_path_matches_the_full_constructor(monkeypatch):
+    records = run_theorem_suite(14, 5).to_records()
+    outputs = _map_outputs(14)
+    _patch_sealed(monkeypatch, _full_check)
+    assert run_theorem_suite(14, 5).to_records() == records
+    assert _map_outputs(14) == outputs
+
+
+def test_public_constructor_sites_do_not_use_sealed(monkeypatch):
+    def refuse(buf):
+        raise AssertionError("_sealed called")
+
+    _patch_sealed(monkeypatch, refuse)
+    for n in range(2, 10):
+        for lam in partitions_of(n):
+            assert negate_crank(negate_crank(lam)) == lam
+            assert lam.conjugate().conjugate() == lam
+
+
+@pytest.mark.parametrize(
+    "buf, message",
+    [
+        ([3, 0, 2], "must be positive, got 0"),
+        ([3, -1, 2], "must be positive, got -1"),
+        ([3, 2.0, 1], "is not an integer: 2.0"),
+        ([Fraction(3), 1], "is not an integer"),
+        ([MAX_WEIGHT, 1], f"weight {MAX_WEIGHT + 1} exceeds the supported maximum"),
+    ],
+)
+def test_sealed_rejects_what_the_sort_cannot_guarantee(buf, message):
+    with pytest.raises(PartitionError, match=message):
+        _sealed(buf)
+
+
+def test_sealed_sorts_and_recomputes_the_weight():
+    parts = [9, 7, 7, 4, 2, 1, 1, 1]
+    shuffled = parts[:]
+    random.Random(5).shuffle(shuffled)
+    lam = _sealed(shuffled)
+    assert lam == _sealed(parts[:]) == Partition(parts)
+    assert lam.parts == tuple(parts)
+    assert lam.weight == sum(parts)
+    assert _sealed([]) == Partition()

@@ -142,6 +142,34 @@ def test_crank_table_matches_andrews_garvan_generating_function():
     assert [table.count(m, 1) for m in (-1, 0, 1)] == [1, -1, 1]
 
 
+def test_nonnegative_crank_counts_equal_odd_mex_counts():
+    # The j = 0 identity (Andrews and Newman, Ann. Comb. 23, 2019): the
+    # partitions of n with crank >= 0 are as many as those with odd mex.  The
+    # left side is sum_{m>=0} M(m, n) from the Andrews-Garvan generating
+    # function above, expanded with exact integers without any crankmex code.
+    order = 80
+    p = [1] + [0] * order
+    for part in range(1, order + 1):
+        for n in range(part, order + 1):
+            p[n] += p[n - part]
+    sparse = [0] * (order + 1)  # sum over m >= 0 of the sparse factor for m
+    for m in range(order + 1):
+        k = 1
+        while k * (k - 1) // 2 + k * m <= order:
+            exponent = k * (k - 1) // 2 + k * m
+            sign = 1 if k % 2 else -1
+            sparse[exponent] += sign
+            if exponent + k <= order:
+                sparse[exponent + k] -= sign
+            k += 1
+    nonnegative = [sum(sparse[e] * p[n - e] for e in range(n + 1)) for n in range(order + 1)]
+    assert nonnegative == odd_mex_series(0, order)
+    for n in range(21):
+        assert nonnegative[n] == count_matching(n, lambda lam: lam.has_odd_mex(0)), n
+    # weight 1: M(0, 1) = -1 and M(1, 1) = 1 by convention, against no odd-mex partition
+    assert nonnegative[1] == 0
+
+
 # -- the suite -------------------------------------------------------------------
 
 
