@@ -37,13 +37,14 @@ _NO_J_MAPS = {
 }
 _ALL_MAPS = sorted(_TRACED_MAPS | _PLAIN_MAPS | _NO_J_MAPS)
 
-# Upper bound on --max-j: both commands loop over every j up to it, so the
-# bound keeps every accepted value finishing in bounded time.
+# Upper bound on stats --max-j: it loops over every j up to it, so the bound
+# keeps every accepted value finishing in bounded time.
 MAX_J = 1000
 
-# Upper bound on verify --max-n.  The suite's time roughly doubles every +3 in
-# weight: at this bound and --max-j 12 it takes about two minutes (28 s at 34
-# on a 2.0 GHz Xeon), at the enumeration limit (60) hours.
+# Upper bound on verify --max-n and --max-j.  The suite's time roughly doubles
+# every +3 in weight: at this bound and --max-j 12 it takes about two minutes
+# (28 s at 34 on a 2.0 GHz Xeon), at the enumeration limit (60) hours.  Every
+# j costs a classification pass per weight, even where j >= n.
 MAX_VERIFY_WEIGHT = 40
 
 
@@ -355,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-n", type=_int_in(MAX_VERIFY_WEIGHT), default=25, help=f"0..{MAX_VERIFY_WEIGHT}"
     )
-    p_verify.add_argument("--max-j", type=_int_in(MAX_J), default=12, help=f"0..{MAX_J}")
+    p_verify.add_argument(
+        "--max-j", type=_int_in(MAX_VERIFY_WEIGHT), default=12, help=f"0..{MAX_VERIFY_WEIGHT}"
+    )
     common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

@@ -7,7 +7,6 @@ be shared freely between concurrent workers.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -90,11 +89,6 @@ class Partition:
     The empty partition is allowed.  Equality is sequence equality and
     instances are hashable, so partitions can be set members and dict keys.
 
-    ``part(i)`` indexes 1-based and extends the stored parts with virtual
-    sentinels: ``part(0)`` is positive infinity and ``part(i)`` is 0 for every
-    index beyond the last part, so the extended sequence is still
-    non-increasing.  The sentinels are never stored.
-
     >>> Partition((5, 3, 2, 2)).weight
     12
     >>> Partition.from_text("5,3,2,2").mex(1)
@@ -151,16 +145,6 @@ class Partition:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def part(self, i: int):
-        """1-based part accessor with the virtual sentinels at both ends."""
-        if i < 0:
-            raise IndexError(f"part index must be non-negative, got {i}")
-        if i == 0:
-            return math.inf
-        if i <= len(self._parts):
-            return self._parts[i - 1]
-        return 0
 
     # -- text form (the CLI and golden-file currency) ----------------------
 
@@ -240,9 +224,11 @@ class Partition:
     def durfee_size(self, j: int = 0) -> int:
         """The unique index ``i`` with ``part(i) - i >= j > part(i+1) - (i+1)``.
 
-        ``durfee_size(0)`` is the classical Durfee-square size; the shifted
-        variants generalise it.  ``i - part(i)`` is strictly increasing, so
-        the index is well defined; it is 0 for the empty partition.
+        Here ``part(i)`` is the ``i``-th largest part, with ``part(0)``
+        infinite and ``part(i)`` 0 past the last part.  ``durfee_size(0)`` is
+        the classical Durfee-square size; the shifted variants generalise it.
+        ``i - part(i)`` is strictly increasing, so the index is well defined;
+        it is 0 for the empty partition.
         """
         _check_nonnegative("j", j)
         return _durfee_size(self._parts, j)

@@ -151,6 +151,23 @@ def _with(state: PairState, k: int, lam: Partition) -> PairState:
     return tuple.__new__(PairState, (state.j, k, lam, state.odd))
 
 
+# The two moves on the Durfee arms that every step map is made of.  Each
+# returns an unsorted buffer for the caller to finish and pass to _sealed.
+def _peel(parts: tuple[int, ...], d: int) -> list[int]:
+    """Delete ``part(d)`` and add 1 to each of the ``d - 1`` larger parts."""
+    buf = [p + 1 for p in parts[: d - 1]]
+    buf.extend(parts[d:])
+    return buf
+
+
+def _absorb(parts: tuple[int, ...], d: int, s: int) -> list[int]:
+    """Subtract 1 from each of the ``d`` largest parts and insert a part ``d + s``."""
+    buf = [p - 1 for p in parts[:d]]
+    buf.extend(parts[d:])
+    buf.append(d + s)
+    return buf
+
+
 def fold_step(state: PairState) -> StepResult:
     """One move toward a shorter staircase.
 
@@ -177,8 +194,7 @@ def fold_step(state: PairState) -> StepResult:
         if d == 1:
             # largest part is exactly s + 1: the move would reproduce lam
             return StepResult(state, FIXED_POINT, d)
-        buf = [p + 1 for p in parts[: d - 1]]
-        buf.extend(parts[d:])
+        buf = _peel(parts, d)
         buf.append(s + 1)
         return StepResult(_with(state, state.k, _sealed(buf)), 1, d)
     if state.k == 0:
@@ -186,9 +202,7 @@ def fold_step(state: PairState) -> StepResult:
             "cannot fold a terminal state: staircase exhausted and no arm "
             f"{s} present in {lam.to_text()!r}"
         )
-    buf = [p - 1 for p in parts[:d]]
-    buf.extend(parts[d:])
-    buf.append(d + s)
+    buf = _absorb(parts, d, s)
     buf.append(s - 1)
     return StepResult(_with(state, state.k - 1, _sealed(buf)), 2, d)
 
@@ -218,18 +232,13 @@ def unfold_step(state: PairState) -> StepResult:
     d = lam.durfee_size(target)
     parts = lam.parts
     if d and parts[d - 1] - d == target:
-        buf = [p + 1 for p in parts[: d - 1]]
-        tail = list(parts[d:])
-        tail.remove(target)
-        buf.extend(tail)
+        buf = _peel(parts, d)
+        buf.remove(target)
         return StepResult(_with(state, state.k + 1, _sealed(buf)), 1, d)
     if d == 0:
         return StepResult(state, FIXED_POINT, d)
-    buf = [p - 1 for p in parts[:d]]
-    tail = list(parts[d:])
-    tail.remove(target)
-    buf.extend(tail)
-    buf.append(d + target)
+    buf = _absorb(parts, d, target)
+    buf.remove(target)  # any copy: _sealed sorts the buffer
     return StepResult(_with(state, state.k, _sealed(buf)), 2, d)
 
 
@@ -310,23 +319,14 @@ def detach_step(j: int, lam: Partition) -> Partition:
     """
     if lam.avoids_arm(j):
         raise DomainError(f"{lam.to_text()!r} has no arm {j} to detach")
-    d = lam.durfee_size(j)
-    parts = lam.parts
-    buf = [p + 1 for p in parts[: d - 1]]
-    buf.extend(parts[d:])
-    return _sealed(buf)
+    return _sealed(_peel(lam.parts, lam.durfee_size(j)))
 
 
 def attach_step(j: int, lam: Partition) -> Partition:
     """Inverse of :func:`detach_step`: absorb the one-part staircase ``(j+1,)``."""
     if lam.has_arm(j + 1):
         raise DomainError(f"{lam.to_text()!r} has arm {j + 1}; attaching requires it absent")
-    d = lam.durfee_size(j + 1)
-    parts = lam.parts
-    buf = [p - 1 for p in parts[:d]]
-    buf.append(j + 1 + d)
-    buf.extend(parts[d:])
-    return _sealed(buf)
+    return _sealed(_absorb(lam.parts, lam.durfee_size(j + 1), j + 1))
 
 
 def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:

@@ -185,6 +185,24 @@ def test_stats_accepts_the_max_j_cap(capsys):
     assert out.splitlines()[-1].split()[:2] == [str(cli.MAX_J), str(cli.MAX_J + 1)]
 
 
+def test_verify_max_j_is_bounded_by_the_verify_weight(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--max-j", str(cli.MAX_VERIFY_WEIGHT + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert f"--max-j: must lie in 0..{cli.MAX_VERIFY_WEIGHT}" in err
+
+
+def test_verify_accepts_the_max_j_cap(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--max-n", "2", "--max-j", str(cli.MAX_VERIFY_WEIGHT)
+    )
+    assert code == 0
+    assert f"j 0..{cli.MAX_VERIFY_WEIGHT}" in out
+    assert "all checks passed" in out
+
+
 def test_verify_small_bounds(capsys, tmp_path):
     out_path = tmp_path / "report.jsonl"
     code, out, _ = run_cli(

@@ -1,4 +1,3 @@
-import math
 
 import pytest
 
@@ -96,17 +95,6 @@ def test_equality_and_hash():
     assert P("5,3,2,2") == Partition((5, 3, 2, 2))
     assert hash(P("2,1")) == hash(Partition((2, 1)))
     assert P("2,1") != P("2,2")
-
-
-def test_sentinel_accessor():
-    lam = P("5,3,2,2")
-    assert lam.part(0) == math.inf
-    assert lam.part(1) == 5
-    assert lam.part(4) == 2
-    assert lam.part(5) == 0
-    assert lam.part(99) == 0
-    with pytest.raises(IndexError):
-        lam.part(-1)
 
 
 # -- statistics ---------------------------------------------------------------

@@ -3,8 +3,10 @@ import json
 import pytest
 
 import crankmex.maps
+from crankmex import verify
 from crankmex import (
     CheckResult,
+    CrankTable,
     DomainError,
     Partition,
     VerificationReport,
@@ -253,3 +255,22 @@ def test_suite_records_a_crashing_check_as_a_failed_cell(monkeypatch):
             assert got.note == "raised ValueError: list.remove(x): x not in list"
         else:
             assert got == want
+
+
+def test_suite_table_checks_fail_closed(monkeypatch):
+    expected = run_theorem_suite(8, 1).results
+    table = crank_table(8)
+    counts = dict(table._counts)
+    counts[(2, 5)] = table.count(2, 5) + 1  # breaks symmetry and row sum at weight 5 only
+    monkeypatch.setattr(verify, "crank_table", lambda max_weight: CrankTable(max_weight, counts))
+    report = run_theorem_suite(8, 1)
+    failed = {(r.name, r.n, r.j): r.note for r in report.failures}
+    assert failed == {
+        ("crank-symmetry", 5, None): "count(2,5) != count(-2,5)",
+        ("crank-row-sum", 5, None): "row sum 8 != p(5) = 7",
+    }
+    assert len(report.results) == len(expected)
+    for got, want in zip(report.results, expected):
+        if (got.name, got.n, got.j) not in failed:
+            assert got == want
+            assert got.status in ("pass", "skip")
