@@ -43,8 +43,9 @@ MAX_J = 1000
 
 # Upper bound on verify --max-n and --max-j.  The suite's time roughly doubles
 # every +3 in weight: at this bound and --max-j 12 it takes about two minutes
-# (28 s at 34 on a 2.0 GHz Xeon), at the enumeration limit (60) hours.  Every
-# j costs a classification pass per weight, even where j >= n.
+# (33 s at 34 on a 2.0 GHz Xeon), at the enumeration limit (60) hours.  Each
+# partition is classified once per weight; every j then costs one cheap loop
+# over the weight's partitions, and its checks, even where j >= n.
 MAX_VERIFY_WEIGHT = 40
 
 

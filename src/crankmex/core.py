@@ -7,6 +7,8 @@ be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import neg
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -83,6 +85,22 @@ def _durfee_size(parts: tuple[int, ...], j: int) -> int:
     return d
 
 
+def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
+    """Parts of the conjugate of the non-increasing ``parts``, as a list.
+
+    Built from run lengths: walking up from the smallest part, the ``i``
+    largest parts are exactly those at least ``v`` for every ``v`` in
+    ``(part(i+1), part(i)]``.
+    """
+    cols: list[int] = []
+    below = 0
+    for i, p in zip(range(len(parts), 0, -1), reversed(parts)):
+        if p > below:
+            cols.extend([i] * (p - below))
+            below = p
+    return cols
+
+
 class Partition:
     """A finite non-increasing sequence of positive integers.
 
@@ -138,6 +156,8 @@ class Partition:
         return hash(self._parts)
 
     def __lt__(self, other: "Partition") -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
         return self._parts < other._parts
 
     def __repr__(self) -> str:
@@ -174,14 +194,7 @@ class Partition:
 
     def count_above(self, value: int) -> int:
         """Number of parts strictly greater than ``value``."""
-        lo, hi = 0, len(self._parts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._parts[mid] > value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self._parts, -value, key=neg)
 
     def has_part(self, value: int) -> bool:
         """Whether ``value`` occurs as a part; 0 counts as a part of everything."""
@@ -211,8 +224,10 @@ class Partition:
         partition ``mex(j) == j + 1``.
         """
         _check_nonnegative("j", j)
-        values = set(self._parts)
         candidate = j + 1
+        if candidate not in self._parts:
+            return candidate
+        values = set(self._parts)
         while candidate in values:
             candidate += 1
         return candidate
@@ -251,19 +266,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram; an involution preserving weight."""
-        if not self._parts:
-            return Partition()
-        width = self._parts[0]
-        mult = [0] * (width + 1)
-        for p in self._parts:
-            mult[p] += 1
-        cols = []
-        running = 0
-        for value in range(width, 0, -1):
-            running += mult[value]
-            cols.append(running)
-        cols.reverse()
-        return Partition(cols)
+        return Partition(_conjugate_parts(self._parts))
 
     def durfee_triple(self) -> "DurfeeTriple":
         """Durfee decomposition ``(size, arms, legs)``.

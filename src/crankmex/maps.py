@@ -18,9 +18,12 @@ which forces the crank down to ``-j`` or below), the crank-negating involution
 :func:`crank_to_mex` that carries the odd-mex class with a part ``j`` onto the
 partitions of crank at least ``j``.
 
-Every function is pure; traces are freshly allocated per call.  States
-(:class:`PairState`) and trace steps (:class:`TraceStep`) are named tuples,
-so they compare and hash by their fields.
+Every function is pure.  Traces are built only by the maps that return
+them: :func:`fold_pair`, :func:`unfold_pair` and the four maps on top of
+them; :func:`mex_to_crank` and :func:`crank_to_mex` iterate without one.
+States (:class:`PairState`) and trace steps (:class:`TraceStep`) are named
+tuples, so they compare and hash by their fields.  Arguments are checked once,
+where they enter a public function; the step loop runs on unchecked kernels.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from .core import (
     IterationLimitError,
     Partition,
     _check_nonnegative,
+    _conjugate_parts,
+    _durfee_size,
     _sealed,
     mex_join,
     mex_split,
@@ -105,7 +110,7 @@ class PairState(_PairFields):
     @property
     def top(self) -> int:
         """Largest staircase part, or ``j`` itself when the staircase is empty."""
-        return self.j + self.staircase_len
+        return self.j + 2 * self.k + (1 if self.odd else 0)
 
     @property
     def pair_weight(self) -> int:
@@ -187,9 +192,9 @@ def fold_step(state: PairState) -> StepResult:
     this on a terminal state (empty staircase, arm absent) is a domain error.
     """
     lam = state.lam
+    parts = lam._parts
     s = state.top
-    d = lam.durfee_size(s)
-    parts = lam.parts
+    d = _durfee_size(parts, s)
     if d and parts[d - 1] - d == s:
         if d == 1:
             # largest part is exactly s + 1: the move would reproduce lam
@@ -224,13 +229,13 @@ def unfold_step(state: PairState) -> StepResult:
     it is returned unchanged with the ``FIXED_POINT`` tag.
     """
     lam = state.lam
+    parts = lam._parts
     target = state.top + 1
-    if not lam.count(target):
+    if target not in parts:
         raise DomainError(
             f"cannot unfold a terminal state: no part {target} in {lam.to_text()!r}"
         )
-    d = lam.durfee_size(target)
-    parts = lam.parts
+    d = _durfee_size(parts, target)
     if d and parts[d - 1] - d == target:
         buf = _peel(parts, d)
         buf.remove(target)
@@ -247,43 +252,76 @@ def _iterate(
     stepper: Callable[[PairState], StepResult],
     finished: Callable[[PairState], bool],
     direction: str,
-) -> tuple[PairState, Trace]:
+    steps: list[TraceStep] | None = None,
+) -> PairState:
+    """Step from ``start`` until ``finished``; return the end state.
+
+    Each step taken is appended to ``steps`` as a :class:`TraceStep` when a
+    list is given.  The cap holds either way.
+    """
     if finished(start):
-        return start, Trace(direction, start, start, ())
+        return start
     # Loose cap; legal runs finish far earlier, so exceeding it is a bug.
     cap = 2 * start.pair_weight + 2 * start.k + 4
     cur = start
-    steps: list[TraceStep] = []
+    taken = 0
     while True:
         result = stepper(cur)
         if result.case == FIXED_POINT:
             raise IterationLimitError(
                 f"{direction} iteration reached a fixed state outside the stop set"
             )
-        steps.append(TraceStep(direction, result.case, result.d, cur, result.state))
-        if len(steps) > cap:
+        if steps is not None:
+            steps.append(TraceStep(direction, result.case, result.d, cur, result.state))
+        taken += 1
+        if taken > cap:
             raise IterationLimitError(f"{direction} iteration exceeded the cap of {cap} steps")
         cur = result.state
         if finished(cur):
-            return cur, Trace(direction, start, cur, tuple(steps))
+            return cur
 
 
 def _fold_finished(state: PairState) -> bool:
-    return state.k == 0 and not state.lam.has_arm(state.top)
+    if state.k:
+        return False
+    parts = state.lam._parts
+    s = state.top
+    d = _durfee_size(parts, s)
+    return not (d and parts[d - 1] - d == s)  # arm s absent
 
 
 def _unfold_finished(state: PairState) -> bool:
-    return not state.lam.count(state.top + 1)
+    return state.top + 1 not in state.lam._parts
 
 
 def fold_pair(state: PairState) -> tuple[PairState, Trace]:
     """Iterate :func:`fold_step` until the staircase index hits 0 and no arm remains."""
-    return _iterate(state, fold_step, _fold_finished, "fold")
+    steps: list[TraceStep] = []
+    end = _iterate(state, fold_step, _fold_finished, "fold", steps)
+    return end, Trace("fold", state, end, tuple(steps))
 
 
 def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
     """Iterate :func:`unfold_step` until the partition lacks the absorbable part."""
-    return _iterate(state, unfold_step, _unfold_finished, "unfold")
+    steps: list[TraceStep] = []
+    end = _iterate(state, unfold_step, _unfold_finished, "unfold", steps)
+    return end, Trace("unfold", state, end, tuple(steps))
+
+
+# The start states of fold and unfold, shared with mex_to_crank and
+# crank_to_mex.  Each checks j and the domain once, through mex_split or
+# has_arm, and then builds the PairState without the checks of __new__.
+def _fold_start(j: int, lam: Partition) -> PairState:
+    dec = mex_split(j, lam)
+    if dec.run % 2:
+        raise DomainError(f"{lam.to_text()!r} does not have an odd mex offset at j={j}")
+    return tuple.__new__(PairState, (j, dec.run // 2, dec.rest, False))
+
+
+def _unfold_start(j: int, lam: Partition) -> PairState:
+    if lam.has_arm(j):
+        raise DomainError(f"{lam.to_text()!r} has arm {j}; unfolding requires it absent")
+    return tuple.__new__(PairState, (j, 0, lam, False))
 
 
 def fold(j: int, lam: Partition) -> tuple[Partition, Trace]:
@@ -294,18 +332,13 @@ def fold(j: int, lam: Partition) -> tuple[Partition, Trace]:
     returned together with the full step trace.  Weight is preserved, parts at
     most ``j`` are conserved, and :func:`unfold` is the exact inverse.
     """
-    dec = mex_split(j, lam)
-    if dec.run % 2:
-        raise DomainError(f"{lam.to_text()!r} does not have an odd mex offset at j={j}")
-    end, trace = fold_pair(PairState(j, dec.run // 2, dec.rest))
+    end, trace = fold_pair(_fold_start(j, lam))
     return end.lam, trace
 
 
 def unfold(j: int, lam: Partition) -> tuple[Partition, Trace]:
     """Inverse of :func:`fold`: rebuild the odd-mex partition from an arm-free one."""
-    if lam.has_arm(j):
-        raise DomainError(f"{lam.to_text()!r} has arm {j}; unfolding requires it absent")
-    end, trace = unfold_pair(PairState(j, 0, lam))
+    end, trace = unfold_pair(_unfold_start(j, lam))
     return mex_join(j, 2 * end.k, end.lam), trace
 
 
@@ -417,14 +450,14 @@ def negate_crank(lam: Partition) -> Partition:
     if lam.weight <= 1:
         raise DomainError("defined only for partitions of weight at least 2")
     parts = lam.parts
-    ones = lam.count(1)
+    ones = parts.count(1)
     if ones == 0:
         return Partition(parts[1:] + (1,) * parts[0])
     tall = lam.count_above(ones)
     if tall == 0:
         return Partition((ones,) + parts[: len(parts) - ones])
     r = max(ones, parts[1] - 1)
-    conj = lam.conjugate().parts
+    conj = _conjugate_parts(parts)
     buf = [conj[1] + parts[0] - r]
     buf.extend([c + 1 for c in conj[1:ones]])
     buf.extend(conj[ones + 1 : r + 1])
@@ -443,14 +476,14 @@ def mex_to_crank(j: int, lam: Partition) -> Partition:
         raise DomainError("defined only for partitions of weight at least 2")
     if not lam.has_part(j):
         raise DomainError(f"{lam.to_text()!r} has no part {j}")
-    nu, _ = fold(j, lam)
-    return negate_crank(to_low_crank(j, nu))
+    end = _iterate(_fold_start(j, lam), fold_step, _fold_finished, "fold")
+    return negate_crank(to_low_crank(j, end.lam))
 
 
 def crank_to_mex(j: int, lam: Partition) -> Partition:
     """Inverse of :func:`mex_to_crank`, defined on cranks at least ``j`` (weight > 1)."""
     if lam.crank() < j:
         raise DomainError(f"{lam.to_text()!r} has crank {lam.crank()} < {j}")
-    mu = negate_crank(lam)
-    out, _ = unfold(j, from_low_crank(j, mu))
-    return out
+    mu = from_low_crank(j, negate_crank(lam))
+    end = _iterate(_unfold_start(j, mu), unfold_step, _unfold_finished, "unfold")
+    return mex_join(j, 2 * end.k, end.lam)

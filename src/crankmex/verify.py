@@ -230,22 +230,21 @@ class _Suite:
         Verifies round-trips in both directions, codomain membership via the
         image sets, injectivity, and any extra per-element predicate.
         """
-        fwd = {}
+        fwd = {}  # keyed by part tuples, which hash and compare in C
         for lam in domain:
             image = forward(lam)
             if image.weight != lam.weight:
                 return lam.to_text(), "weight not preserved"
             if preserve is not None and not preserve(lam, image):
                 return lam.to_text(), "conserved quantity broken"
-            fwd[lam] = image
+            fwd[lam.parts] = image.parts
         images = set(fwd.values())
         if len(images) != len(fwd):
             return None, "forward map is not injective"
-        if images != set(codomain):
+        if images != {nu.parts for nu in codomain}:
             return None, "forward image differs from the stated codomain"
         for nu in codomain:
-            back = backward(nu)
-            if fwd.get(back) != nu:
+            if fwd.get(backward(nu).parts) != nu.parts:
                 return nu.to_text(), "backward map does not invert the forward map"
         return None
 
@@ -258,13 +257,14 @@ class _Suite:
 
         for n in range(self.max_weight + 1):
             plist = list(partitions_of(n))
-            cranks = {lam: lam.crank() for lam in plist}
+            # classified once per weight; each (n, j) cell reads it in one loop
+            classified = [(lam, lam.crank(), *_class_masks(lam)) for lam in plist]
 
             # crank-negating involution, weight fixed (j-independent)
             if n < 2:
                 self.record("crank-negation", n, None, "skip", note="needs weight at least 2")
             else:
-                self.check("crank-negation", n, None, lambda: self._lambda_witness(plist, cranks))
+                self.check("crank-negation", n, None, lambda: self._lambda_witness(classified))
 
             m = asymmetric.get(n)
             self.check(
@@ -274,14 +274,14 @@ class _Suite:
             self.check("crank-row-sum", n, None, lambda: self._row_sum(table, n, len(plist)))
 
             for j in range(self.max_j + 1):
-                self._run_cell(n, j, plist, cranks, series[j][n])
+                self._run_cell(n, j, classified, series[j][n])
 
-    def _lambda_witness(self, plist, cranks):
-        for lam in plist:
+    def _lambda_witness(self, classified):
+        for lam, crank, _, _ in classified:
             image = maps.negate_crank(lam)
             if image.weight != lam.weight:
                 return lam.to_text(), "weight not preserved"
-            if cranks.get(image, image.crank()) != -cranks[lam]:
+            if image.crank() != -crank:
                 return lam.to_text(), "crank not negated"
             if maps.negate_crank(image) != lam:
                 return lam.to_text(), "not an involution"
@@ -293,11 +293,31 @@ class _Suite:
             return None, f"row sum {table.row_sum(n)} != p({n}) = {pn}"
         return None
 
-    def _run_cell(self, n, j, plist, cranks, series_value):
+    def _run_cell(self, n, j, classified, series_value):
         odd_mex, even_mex, arm_free, arm_bearing = [], [], [], []
-        for lam in plist:
-            (odd_mex if lam.has_odd_mex(j) else even_mex).append(lam)
-            (arm_bearing if lam.has_arm(j) else arm_free).append(lam)
+        odd_mex_with_part, arm_free_with_part, low_crank, high_crank = [], [], [], []
+        bit = 1 << j
+        for lam, crank, part_bits, arm_bits in classified:
+            # bits j+1..j+run of part_bits are set and bit j+run+1 is not, so
+            # above ^ (above + 1) is run + 1 low ones, and mex(j) - j = run + 1
+            above = part_bits >> (j + 1)
+            with_part = part_bits & bit
+            if (above ^ (above + 1)).bit_length() & 1:
+                odd_mex.append(lam)
+                if with_part:
+                    odd_mex_with_part.append(lam)
+            else:
+                even_mex.append(lam)
+            if arm_bits & bit:
+                arm_bearing.append(lam)
+            else:
+                arm_free.append(lam)
+                if with_part:
+                    arm_free_with_part.append(lam)
+            if crank <= -j:
+                low_crank.append(lam)
+            if crank >= j:
+                high_crank.append(lam)
 
         self.check(
             "count-odd-mex-vs-arm-free", n, j,
@@ -316,7 +336,7 @@ class _Suite:
         )
         self.check(
             "low-crank-criterion", n, j,
-            lambda: self._crank_criterion(plist, cranks, j),
+            lambda: self._crank_criterion(classified, j),
         )
         self.check(
             "bijection-fold", n, j,
@@ -342,11 +362,6 @@ class _Suite:
             self.record("bijection-low-crank", n, j, "skip", note="needs weight at least 2")
             self.record("bijection-mex-to-crank", n, j, "skip", note="needs weight at least 2")
             return
-
-        arm_free_with_part = [lam for lam in arm_free if lam.has_part(j)]
-        odd_mex_with_part = [lam for lam in odd_mex if lam.has_part(j)]
-        low_crank = [lam for lam in plist if cranks[lam] <= -j]
-        high_crank = [lam for lam in plist if cranks[lam] >= j]
 
         self.check(
             "count-arm-free-vs-low-crank", n, j,
@@ -381,11 +396,27 @@ class _Suite:
         return lam.parts[lam.count_above(j):]
 
     @staticmethod
-    def _crank_criterion(plist, cranks, j):
-        for lam in plist:
-            if (cranks[lam] <= -j) != (lam.count(1) >= lam.durfee_size(j) + j):
+    def _crank_criterion(classified, j):
+        for lam, crank, _, _ in classified:
+            if (crank <= -j) != (lam.count(1) >= lam.durfee_size(j) + j):
                 return lam.to_text(), "crank/ones criterion mismatch"
         return None
+
+
+def _class_masks(lam: Partition) -> tuple[int, int]:
+    """Bitmasks of the parts and of the arms of ``lam``, for the suite's cells.
+
+    Bit ``v`` of the first is set when ``v`` is a part; bit 0 is always set,
+    since :meth:`Partition.has_part` counts 0 as a part of everything.  Bit
+    ``a`` of the second is set when ``a = part(i) - i >= 0`` for some
+    ``i >= 1``, so it holds ``has_arm(a)`` for every ``a``.
+    """
+    part_bits, arm_bits = 1, 0
+    for i, p in enumerate(lam.parts, 1):
+        part_bits |= 1 << p
+        if p >= i:
+            arm_bits |= 1 << (p - i)
+    return part_bits, arm_bits
 
 
 def run_theorem_suite(max_weight: int = 25, max_j: int = 12) -> VerificationReport:

@@ -36,3 +36,33 @@ def test_every_traced_name_resolves():
 
 def test_cap_line_is_in_iterate():
     assert _tracer().CAP_LINE in inspect.getsource(maps._iterate)
+
+
+def test_traced_maps_reach_the_iterated_maps_through_the_module(monkeypatch):
+    # The tracer wraps maps.fold_pair and maps.unfold_pair by name; a traced
+    # map that called the iteration another way would lose its maps.iterate
+    # spans and its trace-length statistics without any error.
+    calls = []
+
+    def counting(name):
+        original = getattr(maps, name)
+
+        def wrapper(state):
+            calls.append(name)
+            return original(state)
+
+        return wrapper
+
+    for name in ("fold_pair", "unfold_pair"):
+        monkeypatch.setattr(maps, name, counting(name))
+    odd = Partition((9, 7, 2, 1))  # mex above 0 is 3, an odd offset
+    even = Partition((9, 7, 3, 2, 1))  # mex above 0 is 4
+    for fn, arg, expected in (
+        (maps.fold, odd, "fold_pair"),
+        (maps.unfold, maps.fold(0, odd)[0], "unfold_pair"),
+        (maps.fold_complement, even, "fold_pair"),
+        (maps.unfold_complement, maps.fold_complement(0, even)[0], "unfold_pair"),
+    ):
+        calls.clear()
+        fn(0, arg)
+        assert calls == [expected], fn.__name__

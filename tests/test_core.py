@@ -97,6 +97,18 @@ def test_equality_and_hash():
     assert P("2,1") != P("2,2")
 
 
+def test_ordering_against_a_non_partition_is_a_type_error():
+    with pytest.raises(TypeError):
+        Partition((2, 1)) < 5
+    with pytest.raises(TypeError):
+        Partition((2, 1)) < (3,)
+
+
+def test_partitions_sort_by_their_parts():
+    shuffled = [P("2,1"), P("3"), P(""), P("1,1,1"), P("2,2")]
+    assert [lam.to_text() for lam in sorted(shuffled)] == ["", "1,1,1", "2,1", "2,2", "3"]
+
+
 # -- statistics ---------------------------------------------------------------
 
 

@@ -2,15 +2,20 @@ import pytest
 
 from crankmex import (
     DomainError,
+    IterationLimitError,
     Partition,
+    StepResult,
     crank_to_mex,
+    fold,
     from_low_crank,
     mex_to_crank,
     negate_crank,
     partitions_of,
     staircase,
     to_low_crank,
+    unfold,
 )
+from crankmex import maps
 
 import golden_data
 
@@ -178,3 +183,34 @@ def test_composed_map_domain_errors():
         mex_to_crank(2, P("5,3,2,2"))  # even mex offset at 2
     with pytest.raises(DomainError):
         crank_to_mex(3, P("2,1"))  # crank 0 < 3
+
+
+def test_composites_match_their_traced_compositions():
+    # mex_to_crank and crank_to_mex iterate without building a trace; they
+    # must agree with the same composition through the traced fold/unfold
+    for n in range(2, 15):
+        for lam in partitions_of(n):
+            for j in range(4):
+                if lam.has_part(j) and lam.has_odd_mex(j):
+                    expected = negate_crank(to_low_crank(j, fold(j, lam)[0]))
+                    assert mex_to_crank(j, lam) == expected
+                if lam.crank() >= j:
+                    expected = unfold(j, from_low_crank(j, negate_crank(lam)))[0]
+                    assert crank_to_mex(j, lam) == expected
+
+
+def test_composite_keeps_the_iteration_cap(monkeypatch):
+    # a stepper that grows the staircase forever: never finished, never fixed;
+    # it gives up on its own long after the cap (14 steps here), so a missing
+    # cap fails the test instead of hanging it
+    calls = []
+
+    def runaway(state):
+        calls.append(state)
+        assert len(calls) < 1000, "the iteration cap did not stop the run"
+        return StepResult(state._replace(k=state.k + 1), 2, 0)
+
+    monkeypatch.setattr(maps, "fold_step", runaway)
+    with pytest.raises(IterationLimitError, match="exceeded the cap of 14 steps"):
+        mex_to_crank(0, P("2,1,1"))
+    assert len(calls) == 15

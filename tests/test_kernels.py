@@ -1,0 +1,68 @@
+"""The statistics kernels and the suite's classification masks, each checked
+against its definition written out by brute force."""
+
+from itertools import count
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from crankmex import Partition, partitions_of
+from crankmex.verify import _class_masks
+
+MAX_N = 18
+
+
+def _every_partition():
+    for n in range(MAX_N + 1):
+        for lam in partitions_of(n):
+            yield n, lam
+
+
+def _transpose(parts):
+    return tuple(sum(p >= i for p in parts) for i in range(1, (parts[0] if parts else 0) + 1))
+
+
+def test_count_above_mex_and_conjugate_match_their_definitions():
+    for n, lam in _every_partition():
+        parts = lam.parts
+        assert lam.conjugate().parts == _transpose(parts)
+        for v in range(n + 3):
+            assert lam.count_above(v) == sum(p > v for p in parts)
+            assert lam.mex(v) == next(m for m in count(v + 1) if m not in parts)
+
+
+def test_class_masks_agree_with_the_statistics():
+    for n, lam in _every_partition():
+        part_bits, arm_bits = _class_masks(lam)
+        for j in range(n + 3):
+            assert bool(part_bits >> j & 1) == lam.has_part(j)
+            assert bool(arm_bits >> j & 1) == lam.has_arm(j)
+            # the run of parts j+1, j+2, ... read off the part mask, as the
+            # suite's cells do: its length plus one is mex(j) - j
+            above = part_bits >> (j + 1)
+            assert bool((above ^ (above + 1)).bit_length() & 1) == lam.has_odd_mex(j)
+        # no bit beyond the largest part or the largest arm
+        assert part_bits < 2 << (lam.parts[0] if n else 0)
+        assert arm_bits < 1 << (n + 1)
+
+
+@st.composite
+def heavy_partitions(draw, max_weight=600):
+    kept, total = [], 0
+    for p in sorted(draw(st.lists(st.integers(1, max_weight), max_size=80))):
+        # smallest first, so that many parts fit under the weight
+        if total + p > max_weight:
+            break
+        kept.append(p)
+        total += p
+    return Partition(sorted(kept, reverse=True))
+
+
+@given(heavy_partitions(), st.integers(0, 700))
+def test_conjugate_and_count_above_on_heavy_partitions(lam, v):
+    parts = lam.parts
+    assert lam.conjugate().parts == _transpose(parts)
+    assert lam.count_above(v) == sum(p > v for p in parts)
+    if parts:
+        assert lam.count_above(parts[0]) == 0
+        assert lam.count_above(parts[-1] - 1) == len(parts)
