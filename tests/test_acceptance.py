@@ -5,7 +5,9 @@ pass lines.  The heavyweight theorem run (weights to 25, j to 12) is shared
 between the criteria that need it.
 """
 
+import hashlib
 import io
+import json
 import pathlib
 from contextlib import redirect_stdout
 
@@ -32,6 +34,7 @@ from crankmex import cli
 import golden_data
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SUITE_RECORDS_SHA256 = "ec82cdd83cb1fd3a92617ee98f03fe3b1c3435cc93ec01a3e199b525635bb20b"
 
 
 def P(text):
@@ -129,6 +132,9 @@ def test_criterion_4_exhaustive_theorem_suite(full_report):
     ):
         # weights 0 and 1 sit below the theorem hypothesis and are skipped
         assert tally[name] == {"pass": per_cell - 26, "fail": 0, "skip": 26}, name
+    # order, names, statuses and notes of all 3458 records, pinned byte for byte
+    records = json.dumps(full_report.to_records(), sort_keys=True).encode()
+    assert hashlib.sha256(records).hexdigest() == SUITE_RECORDS_SHA256
     report_line(4, "theorem suite, weights to 25, j to 12, bijective witnesses")
 
 
