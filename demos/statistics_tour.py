@@ -4,7 +4,7 @@ Run as ``python demos/statistics_tour.py`` after installing the package.
 Every quantity printed here is exact integer arithmetic.
 """
 
-from crankmex import Partition, staircase
+from crankmex import Partition
 
 # A partition is a non-increasing sequence of positive integers.  The text
 # form used everywhere (CLI arguments, reports) is comma-separated parts.
@@ -37,16 +37,16 @@ for j in range(7):
     print(f"{j}   {lam.durfee_size(j)}               {lam.avoids_arm(j)}")
 
 # The full Durfee decomposition splits a partition into its square size plus
-# strictly decreasing arm and leg sequences, and is invertible.
+# strictly decreasing arm and leg sequences.
 triple = lam.durfee_triple()
 print()
 print(f"durfee triple of {lam}: size={triple.size} arms={triple.arms} legs={triple.legs}")
 print(f"weight identity: {lam.weight} == {triple.size} + {sum(triple.arms)} + {sum(triple.legs)}")
-print(f"rebuilt: {Partition.from_durfee(triple)}")
 
 # Conjugation transposes the Young diagram.
 print()
 print(f"conjugate of {lam} is {lam.conjugate()}")
 
 # Staircases (runs of consecutive parts) are the skeleton of the bijections.
-print(f"staircase over 1 of length 4: {staircase(1, 4)}  weight {staircase(1, 4).weight}")
+stair = Partition(range(1 + 4, 1, -1))
+print(f"staircase over 1 of length 4: {stair}  weight {stair.weight}")

@@ -6,10 +6,10 @@ j to 12) finish in a few seconds.
 """
 
 from crankmex import (
-    count_matching,
     crank_table,
     odd_mex_series,
     partition_series,
+    partitions_of,
     run_theorem_suite,
 )
 
@@ -23,8 +23,8 @@ print("odd-mex at j=3    ", odd_mex_series(3, 10))
 # Spot check against brute-force enumeration at weight 9: sixteen partitions
 # have odd mex, and sixteen have non-negative crank.
 print()
-print("count odd-mex(9)      ", count_matching(9, lambda lam: lam.has_odd_mex(0)))
-print("count crank >= 0 (9)  ", count_matching(9, lambda lam: lam.crank() >= 0))
+print("count odd-mex(9)      ", sum(1 for lam in partitions_of(9) if lam.has_odd_mex(0)))
+print("count crank >= 0 (9)  ", sum(1 for lam in partitions_of(9) if lam.crank() >= 0))
 
 # The crank table, including the deliberate weight-1 convention row
 # (the single negative entry) that keeps row sums and symmetry intact.

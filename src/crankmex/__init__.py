@@ -4,7 +4,7 @@ The package has four layers:
 
 * :mod:`crankmex.core` — the :class:`Partition` value type with its statistics
   (crank, mex above ``j``, shifted Durfee sizes, arm coordinates), plus the
-  Durfee and mex decompositions and the staircase builder.
+  Durfee and mex decompositions.
 * :mod:`crankmex.maps` — the staircase step maps and every bijection built
   from them, through the composite crank/mex correspondence.
 * :mod:`crankmex.verify` — exhaustive enumeration, exact counting series, the
@@ -23,7 +23,6 @@ from .core import (
     PartitionError,
     mex_join,
     mex_split,
-    staircase,
 )
 from .maps import (
     FIXED_POINT,
@@ -52,7 +51,6 @@ from .verify import (
     CheckResult,
     CrankTable,
     VerificationReport,
-    count_matching,
     crank_table,
     odd_mex_series,
     partition_series,
@@ -72,7 +70,6 @@ __all__ = [
     "Partition",
     "DurfeeTriple",
     "MexDecomposition",
-    "staircase",
     "mex_split",
     "mex_join",
     "PairState",
@@ -95,7 +92,6 @@ __all__ = [
     "mex_to_crank",
     "crank_to_mex",
     "partitions_of",
-    "count_matching",
     "CrankTable",
     "crank_table",
     "partition_series",

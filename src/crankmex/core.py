@@ -19,7 +19,6 @@ __all__ = [
     "Partition",
     "DurfeeTriple",
     "MexDecomposition",
-    "staircase",
     "mex_split",
     "mex_join",
 ]
@@ -281,31 +280,6 @@ class Partition:
         legs = tuple(conj[i] - (i + 1) for i in range(size))
         return DurfeeTriple(size, arms, legs)
 
-    @classmethod
-    def from_durfee(cls, triple: "DurfeeTriple") -> "Partition":
-        """Rebuild the unique partition with the given Durfee decomposition.
-
-        Rejects triples whose arms or legs are not strictly decreasing
-        sequences of ``size`` non-negative integers.
-        """
-        size, arms, legs = triple
-        _check_nonnegative("durfee size", size)
-        for label, seq in (("arms", arms), ("legs", legs)):
-            if len(seq) != size:
-                raise PartitionError(f"{label} must have exactly {size} entries, got {len(seq)}")
-            for value in seq:
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    raise PartitionError(f"{label} entries must be non-negative integers")
-            if any(seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
-                raise PartitionError(f"{label} must be strictly decreasing")
-        if size == 0:
-            return cls()
-        length = legs[0] + 1
-        buf = [arms[i] + (i + 1) for i in range(size)]
-        for i in range(size + 1, length + 1):
-            buf.append(sum(1 for u in range(size) if legs[u] + (u + 1) >= i))
-        return cls(buf)
-
 
 def _sealed(buf: list) -> Partition:
     """Partition of the parts in ``buf``, which is sorted here in place.
@@ -349,16 +323,6 @@ class MexDecomposition(NamedTuple):
     j: int
     run: int
     rest: Partition
-
-
-def staircase(j: int, length: int) -> Partition:
-    """The run of consecutive parts ``(j+length, ..., j+1)``; empty when length is 0.
-
-    Its weight is ``length*(length+1)//2 + j*length``.
-    """
-    _check_nonnegative("j", j)
-    _check_nonnegative("length", length)
-    return Partition(range(j + length, j, -1))
 
 
 def mex_split(j: int, lam: Partition) -> MexDecomposition:

@@ -83,8 +83,8 @@ class PairState(_PairFields):
 
     ``k`` is the half-length index: the staircase has length ``2k`` in even
     mode and ``2k + 1`` in odd mode.  The staircase itself is implied by
-    ``(j, k, odd)`` and never materialised; ``core.staircase(j, staircase_len)``
-    builds it.
+    ``(j, k, odd)`` and never materialised: it is
+    ``Partition(range(top, j, -1))``.
 
     A named tuple of ``(j, k, lam, odd)``: immutable, hashable and equal to
     any tuple with the same fields.  Construction rejects a ``j`` or ``k``
@@ -116,10 +116,6 @@ class PairState(_PairFields):
     def pair_weight(self) -> int:
         m = self.staircase_len
         return m * (m + 1) // 2 + self.j * m + self.lam.weight
-
-    @property
-    def pair_length(self) -> int:
-        return self.staircase_len + len(self.lam)
 
 
 class StepResult(NamedTuple):

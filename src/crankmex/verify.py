@@ -7,15 +7,14 @@ All series arithmetic is exact integer arithmetic; enumeration order is fixed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator, NamedTuple
 
-from .core import DomainError, Partition
+from .core import DomainError, Partition, _check_nonnegative
 from . import maps
 
 __all__ = [
     "ENUMERATION_LIMIT",
     "partitions_of",
-    "count_matching",
     "CrankTable",
     "crank_table",
     "partition_series",
@@ -45,11 +44,6 @@ def partitions_of(n: int, *, limit: int = ENUMERATION_LIMIT) -> Iterator[Partiti
         raise DomainError(f"enumeration limit is {limit}, got weight {n}")
     for raw in _raw_partitions(n, n):
         yield Partition(raw)
-
-
-def count_matching(n: int, predicate: Callable[[Partition], bool]) -> int:
-    """Number of partitions of ``n`` satisfying ``predicate``."""
-    return sum(1 for lam in partitions_of(n) if predicate(lam))
 
 
 class CrankTable:
@@ -197,6 +191,175 @@ class VerificationReport:
         return lines
 
 
+class _Weight(NamedTuple):  # what the per-weight checks read
+    n: int
+    classified: list  # (lam, crank, part_bits, arm_bits) for every partition of n
+    table: CrankTable
+    asymmetric: int | None  # smallest m with count(m, n) != count(-m, n)
+
+
+class _Cell(NamedTuple):  # what the per-(n, j) checks read
+    j: int
+    classified: list
+    series: int  # coefficient n of odd_mex_series(j)
+    classes: dict[str, list[Partition]]
+
+
+def _classes(classified, j):
+    """The eight classes of the ``(n, j)`` cell, each listed in enumeration order."""
+    odd_mex, even_mex, arm_free, arm_bearing = [], [], [], []
+    odd_mex_with_part, arm_free_with_part, low_crank, high_crank = [], [], [], []
+    bit = 1 << j
+    for lam, crank, part_bits, arm_bits in classified:
+        # bits j+1..j+run of part_bits are set and bit j+run+1 is not, so
+        # above ^ (above + 1) is run + 1 low ones, and mex(j) - j = run + 1
+        above = part_bits >> (j + 1)
+        with_part = part_bits & bit
+        if (above ^ (above + 1)).bit_length() & 1:
+            odd_mex.append(lam)
+            if with_part:
+                odd_mex_with_part.append(lam)
+        else:
+            even_mex.append(lam)
+        if arm_bits & bit:
+            arm_bearing.append(lam)
+        else:
+            arm_free.append(lam)
+            if with_part:
+                arm_free_with_part.append(lam)
+        if crank <= -j:
+            low_crank.append(lam)
+        if crank >= j:
+            high_crank.append(lam)
+    return dict(
+        odd_mex=odd_mex, even_mex=even_mex, arm_free=arm_free, arm_bearing=arm_bearing,
+        odd_mex_with_part=odd_mex_with_part, arm_free_with_part=arm_free_with_part,
+        low_crank=low_crank, high_crank=high_crank,
+    )
+
+
+# -- the checks: each returns None or (counterexample or None, note) ----------
+
+
+def _negation(weight):
+    for lam, crank, _, _ in weight.classified:
+        image = maps.negate_crank(lam)
+        if image.weight != lam.weight:
+            return lam.to_text(), "weight not preserved"
+        if image.crank() != -crank:
+            return lam.to_text(), "crank not negated"
+        if maps.negate_crank(image) != lam:
+            return lam.to_text(), "not an involution"
+    return None
+
+
+def _symmetry(weight):
+    m, n = weight.asymmetric, weight.n
+    return None if m is None else (None, f"count({m},{n}) != count({-m},{n})")
+
+
+def _row_sum(weight):
+    total, pn = weight.table.row_sum(weight.n), len(weight.classified)
+    return None if total == pn else (None, f"row sum {total} != p({weight.n}) = {pn}")
+
+
+def _series(cell):
+    odd, free = len(cell.classes["odd_mex"]), len(cell.classes["arm_free"])
+    if cell.series == odd == free:
+        return None
+    return None, f"series {cell.series}, classes {odd}/{free}"
+
+
+def _crank_criterion(cell):
+    j = cell.j
+    for lam, crank, _, _ in cell.classified:
+        if (crank <= -j) != (lam.count(1) >= lam.durfee_size(j) + j):
+            return lam.to_text(), "crank/ones criterion mismatch"
+    return None
+
+
+def _count(a, b):
+    """Check that classes ``a`` and ``b`` of the cell are equinumerous."""
+
+    def check(cell):
+        x, y = len(cell.classes[a]), len(cell.classes[b])
+        return None if x == y else (None, f"{x} != {y}")
+
+    return check
+
+
+def _bijection(domain, codomain, forward, backward, preserved=None):
+    """Element-by-element check that ``forward`` matches two classes perfectly.
+
+    ``forward(j, lam)`` and ``backward(j, nu)`` return partitions.  Verifies
+    weight and ``preserved(j, lam)``, injectivity, codomain membership via the
+    image sets, and round trips from the codomain.
+    """
+
+    def check(cell):
+        j = cell.j
+        fwd = {}  # keyed by part tuples, which hash and compare in C
+        for lam in cell.classes[domain]:
+            image = forward(j, lam)
+            if image.weight != lam.weight:
+                return lam.to_text(), "weight not preserved"
+            if preserved is not None and preserved(j, lam) != preserved(j, image):
+                return lam.to_text(), "conserved quantity broken"
+            fwd[lam.parts] = image.parts
+        images = set(fwd.values())
+        if len(images) != len(fwd):
+            return None, "forward map is not injective"
+        targets = cell.classes[codomain]
+        if images != {nu.parts for nu in targets}:
+            return None, "forward image differs from the stated codomain"
+        for nu in targets:
+            if fwd.get(backward(j, nu).parts) != nu.parts:
+                return nu.to_text(), "backward map does not invert the forward map"
+        return None
+
+    return check
+
+
+# The suite's table: (name, minimum weight, check).  Below its minimum weight
+# a cell is recorded as skipped.  Maps are looked up in ``maps`` at call time,
+# so a patched or wrapped map is the one checked.
+_WEIGHT_CHECKS = (
+    ("crank-negation", 2, _negation),
+    ("crank-symmetry", 0, _symmetry),
+    ("crank-row-sum", 0, _row_sum),
+)
+_CELL_CHECKS = (
+    ("count-odd-mex-vs-arm-free", 0, _count("odd_mex", "arm_free")),
+    ("count-even-mex-vs-arm-bearing", 0, _count("even_mex", "arm_bearing")),
+    ("series-vs-enumeration", 0, _series),
+    ("low-crank-criterion", 0, _crank_criterion),
+    ("bijection-fold", 0, _bijection(
+        "odd_mex", "arm_free",
+        lambda j, lam: maps.fold(j, lam)[0],
+        lambda j, nu: maps.unfold(j, nu)[0],
+        preserved=lambda j, lam: lam.parts[lam.count_above(j):],  # the parts <= j
+    )),
+    ("bijection-fold-complement", 0, _bijection(
+        "even_mex", "arm_bearing",
+        lambda j, lam: maps.fold_complement(j, lam)[0],
+        lambda j, nu: maps.unfold_complement(j, nu)[0],
+    )),
+    ("count-arm-free-vs-low-crank", 2, _count("arm_free_with_part", "low_crank")),
+    ("count-odd-mex-vs-high-crank", 2, _count("odd_mex_with_part", "high_crank")),
+    ("bijection-low-crank", 2, _bijection(
+        "arm_free_with_part", "low_crank",
+        lambda j, lam: maps.to_low_crank(j, lam),
+        lambda j, mu: maps.from_low_crank(j, mu),
+        preserved=lambda j, lam: lam.durfee_size(j),
+    )),
+    ("bijection-mex-to-crank", 2, _bijection(
+        "odd_mex_with_part", "high_crank",
+        lambda j, lam: maps.mex_to_crank(j, lam),
+        lambda j, mu: maps.crank_to_mex(j, mu),
+    )),
+)
+
+
 class _Suite:
     """One run of the theorem suite; collects per-cell results in a fixed order."""
 
@@ -205,48 +368,17 @@ class _Suite:
         self.max_j = max_j
         self.report = VerificationReport(max_weight, max_j)
 
-    def record(self, name, n, j, status, counterexample=None, note=""):
-        self.report.results.append(CheckResult(name, n, j, status, counterexample, note))
-
-    def check(self, name, n, j, fn):
-        """Run ``fn``; it returns a failure description or None."""
-        try:
-            failure = fn()
-        except Exception as exc:  # a crashing check is a failed cell, not an aborted run
-            self.record(name, n, j, "fail", note=f"raised {type(exc).__name__}: {exc}")
-            return
-        if failure is None:
-            self.record(name, n, j, "pass")
+    def check(self, name, n, j, min_weight, fn, arg):
+        """Record the cell ``(name, n, j)``: skipped below ``min_weight``, else ``fn(arg)``."""
+        if n < min_weight:
+            status, failure = "skip", (None, f"needs weight at least {min_weight}")
         else:
-            counterexample, note = failure
-            self.record(name, n, j, "fail", counterexample, note)
-
-    # -- individual witnesses ------------------------------------------------
-
-    @staticmethod
-    def _match_bijection(forward, backward, domain, codomain, preserve=None):
-        """Element-by-element perfect-matching check between two listed sets.
-
-        Verifies round-trips in both directions, codomain membership via the
-        image sets, injectivity, and any extra per-element predicate.
-        """
-        fwd = {}  # keyed by part tuples, which hash and compare in C
-        for lam in domain:
-            image = forward(lam)
-            if image.weight != lam.weight:
-                return lam.to_text(), "weight not preserved"
-            if preserve is not None and not preserve(lam, image):
-                return lam.to_text(), "conserved quantity broken"
-            fwd[lam.parts] = image.parts
-        images = set(fwd.values())
-        if len(images) != len(fwd):
-            return None, "forward map is not injective"
-        if images != {nu.parts for nu in codomain}:
-            return None, "forward image differs from the stated codomain"
-        for nu in codomain:
-            if fwd.get(backward(nu).parts) != nu.parts:
-                return nu.to_text(), "backward map does not invert the forward map"
-        return None
+            try:
+                failure = fn(arg)
+            except Exception as exc:  # a crashing check is a failed cell, not an aborted run
+                failure = None, f"raised {type(exc).__name__}: {exc}"
+            status = "pass" if failure is None else "fail"
+        self.report.results.append(CheckResult(name, n, j, status, *(failure or ())))
 
     def run(self):
         series = {j: odd_mex_series(j, self.max_weight) for j in range(self.max_j + 1)}
@@ -256,151 +388,15 @@ class _Suite:
             asymmetric.setdefault(n, m)
 
         for n in range(self.max_weight + 1):
-            plist = list(partitions_of(n))
             # classified once per weight; each (n, j) cell reads it in one loop
-            classified = [(lam, lam.crank(), *_class_masks(lam)) for lam in plist]
-
-            # crank-negating involution, weight fixed (j-independent)
-            if n < 2:
-                self.record("crank-negation", n, None, "skip", note="needs weight at least 2")
-            else:
-                self.check("crank-negation", n, None, lambda: self._lambda_witness(classified))
-
-            m = asymmetric.get(n)
-            self.check(
-                "crank-symmetry", n, None,
-                lambda: None if m is None else (None, f"count({m},{n}) != count({-m},{n})"),
-            )
-            self.check("crank-row-sum", n, None, lambda: self._row_sum(table, n, len(plist)))
-
+            classified = [(lam, lam.crank(), *_class_masks(lam)) for lam in partitions_of(n)]
+            weight = _Weight(n, classified, table, asymmetric.get(n))
+            for name, min_weight, fn in _WEIGHT_CHECKS:
+                self.check(name, n, None, min_weight, fn, weight)
             for j in range(self.max_j + 1):
-                self._run_cell(n, j, classified, series[j][n])
-
-    def _lambda_witness(self, classified):
-        for lam, crank, _, _ in classified:
-            image = maps.negate_crank(lam)
-            if image.weight != lam.weight:
-                return lam.to_text(), "weight not preserved"
-            if image.crank() != -crank:
-                return lam.to_text(), "crank not negated"
-            if maps.negate_crank(image) != lam:
-                return lam.to_text(), "not an involution"
-        return None
-
-    @staticmethod
-    def _row_sum(table, n, pn):
-        if table.row_sum(n) != pn:
-            return None, f"row sum {table.row_sum(n)} != p({n}) = {pn}"
-        return None
-
-    def _run_cell(self, n, j, classified, series_value):
-        odd_mex, even_mex, arm_free, arm_bearing = [], [], [], []
-        odd_mex_with_part, arm_free_with_part, low_crank, high_crank = [], [], [], []
-        bit = 1 << j
-        for lam, crank, part_bits, arm_bits in classified:
-            # bits j+1..j+run of part_bits are set and bit j+run+1 is not, so
-            # above ^ (above + 1) is run + 1 low ones, and mex(j) - j = run + 1
-            above = part_bits >> (j + 1)
-            with_part = part_bits & bit
-            if (above ^ (above + 1)).bit_length() & 1:
-                odd_mex.append(lam)
-                if with_part:
-                    odd_mex_with_part.append(lam)
-            else:
-                even_mex.append(lam)
-            if arm_bits & bit:
-                arm_bearing.append(lam)
-            else:
-                arm_free.append(lam)
-                if with_part:
-                    arm_free_with_part.append(lam)
-            if crank <= -j:
-                low_crank.append(lam)
-            if crank >= j:
-                high_crank.append(lam)
-
-        self.check(
-            "count-odd-mex-vs-arm-free", n, j,
-            lambda: None if len(odd_mex) == len(arm_free)
-            else (None, f"{len(odd_mex)} != {len(arm_free)}"),
-        )
-        self.check(
-            "count-even-mex-vs-arm-bearing", n, j,
-            lambda: None if len(even_mex) == len(arm_bearing)
-            else (None, f"{len(even_mex)} != {len(arm_bearing)}"),
-        )
-        self.check(
-            "series-vs-enumeration", n, j,
-            lambda: None if series_value == len(odd_mex) == len(arm_free)
-            else (None, f"series {series_value}, classes {len(odd_mex)}/{len(arm_free)}"),
-        )
-        self.check(
-            "low-crank-criterion", n, j,
-            lambda: self._crank_criterion(classified, j),
-        )
-        self.check(
-            "bijection-fold", n, j,
-            lambda: self._match_bijection(
-                lambda lam: maps.fold(j, lam)[0],
-                lambda nu: maps.unfold(j, nu)[0],
-                odd_mex, arm_free,
-                preserve=lambda lam, image: self._small_parts(lam, j) == self._small_parts(image, j),
-            ),
-        )
-        self.check(
-            "bijection-fold-complement", n, j,
-            lambda: self._match_bijection(
-                lambda lam: maps.fold_complement(j, lam)[0],
-                lambda nu: maps.unfold_complement(j, nu)[0],
-                even_mex, arm_bearing,
-            ),
-        )
-
-        if n < 2:
-            self.record("count-arm-free-vs-low-crank", n, j, "skip", note="needs weight at least 2")
-            self.record("count-odd-mex-vs-high-crank", n, j, "skip", note="needs weight at least 2")
-            self.record("bijection-low-crank", n, j, "skip", note="needs weight at least 2")
-            self.record("bijection-mex-to-crank", n, j, "skip", note="needs weight at least 2")
-            return
-
-        self.check(
-            "count-arm-free-vs-low-crank", n, j,
-            lambda: None if len(arm_free_with_part) == len(low_crank)
-            else (None, f"{len(arm_free_with_part)} != {len(low_crank)}"),
-        )
-        self.check(
-            "count-odd-mex-vs-high-crank", n, j,
-            lambda: None if len(odd_mex_with_part) == len(high_crank)
-            else (None, f"{len(odd_mex_with_part)} != {len(high_crank)}"),
-        )
-        self.check(
-            "bijection-low-crank", n, j,
-            lambda: self._match_bijection(
-                lambda lam: maps.to_low_crank(j, lam),
-                lambda mu: maps.from_low_crank(j, mu),
-                arm_free_with_part, low_crank,
-                preserve=lambda lam, image: lam.durfee_size(j) == image.durfee_size(j),
-            ),
-        )
-        self.check(
-            "bijection-mex-to-crank", n, j,
-            lambda: self._match_bijection(
-                lambda lam: maps.mex_to_crank(j, lam),
-                lambda mu: maps.crank_to_mex(j, mu),
-                odd_mex_with_part, high_crank,
-            ),
-        )
-
-    @staticmethod
-    def _small_parts(lam, j):
-        return lam.parts[lam.count_above(j):]
-
-    @staticmethod
-    def _crank_criterion(classified, j):
-        for lam, crank, _, _ in classified:
-            if (crank <= -j) != (lam.count(1) >= lam.durfee_size(j) + j):
-                return lam.to_text(), "crank/ones criterion mismatch"
-        return None
+                cell = _Cell(j, classified, series[j][n], _classes(classified, j))
+                for name, min_weight, fn in _CELL_CHECKS:
+                    self.check(name, n, j, min_weight, fn, cell)
 
 
 def _class_masks(lam: Partition) -> tuple[int, int]:
@@ -425,12 +421,14 @@ def run_theorem_suite(max_weight: int = 25, max_j: int = 12) -> VerificationRepo
     Weight-below-2 cells of the crank identities are reported as skipped (the
     identities assume weight at least 2).  Failures become report content,
     never exceptions; each failing check carries a concrete counterexample
-    where one exists.
+    where one exists.  A bound that is not a non-negative ``int`` (a ``bool``
+    included), or a ``max_weight`` above ``ENUMERATION_LIMIT``, raises
+    :class:`DomainError`.
     """
+    _check_nonnegative("max_weight", max_weight)
+    _check_nonnegative("max_j", max_j)
     if max_weight > ENUMERATION_LIMIT:
         raise DomainError(f"max_weight is capped at {ENUMERATION_LIMIT}")
-    if max_weight < 0 or max_j < 0:
-        raise DomainError("bounds must be non-negative")
     suite = _Suite(max_weight, max_j)
     suite.run()
     return suite.report

@@ -244,7 +244,7 @@ def _check_state(state):
         if result.case != FIXED_POINT:
             after = result.state
             assert after.pair_weight == state.pair_weight
-            assert after.pair_length == state.pair_length
+            assert after.staircase_len + len(after.lam) == state.staircase_len + len(state.lam)
             assert tuple(p for p in after.lam.parts if p <= state.j) == small
             back = unfold_step(after)
             assert back.case != FIXED_POINT and back.state == state
@@ -258,7 +258,7 @@ def _check_state(state):
         if result.case != FIXED_POINT:
             after = result.state
             assert after.pair_weight == state.pair_weight
-            assert after.pair_length == state.pair_length
+            assert after.staircase_len + len(after.lam) == state.staircase_len + len(state.lam)
             assert tuple(p for p in after.lam.parts if p <= state.j) == small
             back = fold_step(after)
             assert back.case != FIXED_POINT and back.state == state

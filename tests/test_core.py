@@ -9,7 +9,6 @@ from crankmex import (
     PartitionError,
     mex_join,
     mex_split,
-    staircase,
 )
 from crankmex.core import _check_nonnegative
 
@@ -214,26 +213,14 @@ def test_durfee_round_trip():
     for text in ("", "5,3,2,2", "2,2", "1,1,1", "9", "6,6,6,1"):
         lam = P(text)
         triple = lam.durfee_triple()
-        assert Partition.from_durfee(triple) == lam
+        # the rebuild from (size, arms, legs): rows of the square, then the rows
+        # below it, whose lengths are read off the legs
+        size, arms, legs = triple
+        rows = [arms[i] + i + 1 for i in range(size)]
+        for i in range(size + 1, legs[0] + 2 if size else 0):
+            rows.append(sum(1 for u in range(size) if legs[u] + u + 1 >= i))
+        assert Partition(rows) == lam
         assert lam.weight == triple.size + sum(triple.arms) + sum(triple.legs)
-
-
-def test_from_durfee_rejects_bad_triples():
-    with pytest.raises(PartitionError):
-        Partition.from_durfee(DurfeeTriple(2, (1, 1), (1, 0)))  # arms not strict
-    with pytest.raises(PartitionError):
-        Partition.from_durfee(DurfeeTriple(2, (1,), (1, 0)))  # wrong length
-    with pytest.raises(PartitionError):
-        Partition.from_durfee(DurfeeTriple(1, (-1,), (0,)))  # negative entry
-
-
-def test_staircase():
-    assert staircase(4, 0) == Partition()
-    assert staircase(1, 4) == P("5,4,3,2")
-    assert staircase(0, 3) == P("3,2,1")
-    for j in range(5):
-        for k in range(6):
-            assert staircase(j, k).weight == k * (k + 1) // 2 + j * k
 
 
 def test_mex_split_examples():

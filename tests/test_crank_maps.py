@@ -11,7 +11,6 @@ from crankmex import (
     mex_to_crank,
     negate_crank,
     partitions_of,
-    staircase,
     to_low_crank,
     unfold,
 )
@@ -49,7 +48,7 @@ def test_from_low_crank_smallest_case():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_low_crank_even_staircase_family(k):
     # closed form: k parts 2k-1..k, then k..1, then k extra 1s; crank -3
-    lam = staircase(0, 2 * k)
+    lam = Partition(range(2 * k, 0, -1))
     expected = list(range(2 * k - 1, k - 1, -1)) + list(range(k, 0, -1)) + [1] * k
     out = to_low_crank(0, lam)
     assert out == Partition(sorted(expected, reverse=True))

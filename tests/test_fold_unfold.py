@@ -14,7 +14,6 @@ from crankmex import (
     mex_join,
     mex_split,
     partitions_of,
-    staircase,
     unfold,
     unfold_complement,
     unfold_step,
@@ -155,7 +154,7 @@ def test_fold_fixes_short_staircases(j, k):
     # joining the even staircase with the empty partition gives the staircase
     # itself; for runs of length up to 2 it is its own image
     lam = mex_join(j, 2 * k, Partition())
-    assert lam == staircase(j, 2 * k)
+    assert lam == Partition(range(j + 2 * k, j, -1))
     out, _ = fold(j, lam)
     assert out == lam
 

@@ -12,7 +12,6 @@ from crankmex import (
     mex_join,
     mex_split,
     partitions_of,
-    staircase,
     unfold_step,
 )
 
@@ -52,7 +51,13 @@ def test_durfee_size_monotonicity(lam, j):
 @given(partitions())
 def test_durfee_triple_round_trip(lam):
     triple = lam.durfee_triple()
-    assert Partition.from_durfee(triple) == lam
+    # the rebuild from (size, arms, legs): rows of the square, then the rows
+    # below it, whose lengths are read off the legs
+    size, arms, legs = triple
+    rows = [arms[i] + i + 1 for i in range(size)]
+    for i in range(size + 1, legs[0] + 2 if size else 0):
+        rows.append(sum(1 for u in range(size) if legs[u] + u + 1 >= i))
+    assert Partition(rows) == lam
     assert lam.weight == triple.size + sum(triple.arms) + sum(triple.legs)
 
 
@@ -133,7 +138,7 @@ def test_step_conservation_laws(odd):
                 continue
             after = result.state
             assert after.pair_weight == state.pair_weight
-            assert after.pair_length == state.pair_length
+            assert after.staircase_len + len(after.lam) == state.staircase_len + len(state.lam)
             assert tuple(p for p in after.lam.parts if p <= after.j) == small
 
 

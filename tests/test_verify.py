@@ -10,7 +10,6 @@ from crankmex import (
     DomainError,
     Partition,
     VerificationReport,
-    count_matching,
     crank_table,
     odd_mex_series,
     partition_series,
@@ -43,12 +42,6 @@ def test_enumeration_limit():
         next(partitions_of(61))
     with pytest.raises(DomainError):
         next(partitions_of(-1))
-
-
-def test_count_matching():
-    assert count_matching(9, lambda lam: lam.has_odd_mex(0)) == 16
-    assert count_matching(9, lambda lam: lam.crank() >= 0) == 16
-    assert count_matching(4, lambda lam: lam.crank() <= 0) == 3
 
 
 def test_partition_series_prefix():
@@ -93,8 +86,8 @@ def test_odd_mex_series_values():
 def test_odd_mex_series_matches_enumeration(j):
     series = odd_mex_series(j, 15)
     for n in range(16):
-        assert series[n] == count_matching(n, lambda lam: lam.has_odd_mex(j))
-        assert series[n] == count_matching(n, lambda lam: lam.avoids_arm(j))
+        assert series[n] == sum(1 for lam in partitions_of(n) if lam.has_odd_mex(j))
+        assert series[n] == sum(1 for lam in partitions_of(n) if lam.avoids_arm(j))
 
 
 def test_crank_table_values():
@@ -167,7 +160,7 @@ def test_nonnegative_crank_counts_equal_odd_mex_counts():
     nonnegative = [sum(sparse[e] * p[n - e] for e in range(n + 1)) for n in range(order + 1)]
     assert nonnegative == odd_mex_series(0, order)
     for n in range(21):
-        assert nonnegative[n] == count_matching(n, lambda lam: lam.has_odd_mex(0)), n
+        assert nonnegative[n] == sum(1 for lam in partitions_of(n) if lam.has_odd_mex(0)), n
     # weight 1: M(0, 1) = -1 and M(1, 1) = 1 by convention, against no odd-mex partition
     assert nonnegative[1] == 0
 
@@ -219,6 +212,10 @@ def test_suite_bounds_validation():
         run_theorem_suite(-1, 0)
     with pytest.raises(DomainError):
         run_theorem_suite(5, -1)
+    # bounds of the wrong type are rejected up front, not deep inside the run
+    for max_weight, max_j in ((5.0, 2), (5, 2.5), ("5", 1), (5, None), (5, True)):
+        with pytest.raises(DomainError):
+            run_theorem_suite(max_weight, max_j)
 
 
 def test_series_reject_negative_arguments():
