@@ -1,6 +1,7 @@
 """The bijections at weights 200..1000, checked by an oracle outside crankmex.
 
-The other map tests stay below weight about 30.  Here seeded uniform
+The other map tests use small partitions (enumerations to weight about 25,
+Hypothesis draws of at most nine parts up to 15).  Here seeded uniform
 partitions come from ``perfbench/oracle.py``, which does not import crankmex,
 and every image is classified by that file's own crank, mex and arm code.
 """
