@@ -84,6 +84,23 @@ def _durfee_size(parts: tuple[int, ...], j: int) -> int:
     return d
 
 
+def _has_arm(parts: tuple[int, ...], j: int) -> bool:
+    """Unchecked :meth:`Partition.has_arm` for a validated ``j``."""
+    d = _durfee_size(parts, j)
+    return d > 0 and parts[d - 1] - d == j
+
+
+def _mex(parts: tuple[int, ...], j: int) -> int:
+    """Unchecked :meth:`Partition.mex` for a validated ``j``."""
+    candidate = j + 1
+    if candidate not in parts:
+        return candidate
+    values = set(parts)
+    while candidate in values:
+        candidate += 1
+    return candidate
+
+
 def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
     """Parts of the conjugate of the non-increasing ``parts``, as a list.
 
@@ -223,13 +240,7 @@ class Partition:
         partition ``mex(j) == j + 1``.
         """
         _check_nonnegative("j", j)
-        candidate = j + 1
-        if candidate not in self._parts:
-            return candidate
-        values = set(self._parts)
-        while candidate in values:
-            candidate += 1
-        return candidate
+        return _mex(self._parts, j)
 
     def has_odd_mex(self, j: int = 0) -> bool:
         """Whether ``mex(j) - j`` is odd (the mex parity differs from ``j``)."""
@@ -254,8 +265,7 @@ class Partition:
         lengths of the Durfee decomposition, hence the name.
         """
         _check_nonnegative("j", j)
-        d = _durfee_size(self._parts, j)
-        return d > 0 and self._parts[d - 1] - d == j
+        return _has_arm(self._parts, j)
 
     def avoids_arm(self, j: int) -> bool:
         """Complement of :meth:`has_arm`."""
@@ -330,12 +340,18 @@ def mex_split(j: int, lam: Partition) -> MexDecomposition:
 
     ``run == lam.mex(j) - j - 1``; total on all partitions.
     """
-    run = lam.mex(j) - j - 1
+    _check_nonnegative("j", j)
+    return _mex_split(j, lam)
+
+
+def _mex_split(j: int, lam: Partition) -> MexDecomposition:
+    """Unchecked :func:`mex_split` for a validated ``j``."""
+    run = _mex(lam._parts, j) - j - 1
     if run == 0:
         return MexDecomposition(j, 0, lam)
     pending = set(range(j + 1, j + run + 1))
     buf = []
-    for p in lam.parts:
+    for p in lam._parts:
         if p in pending:
             pending.remove(p)
         else:
@@ -350,12 +366,21 @@ def mex_join(j: int, run: int, rest: Partition) -> Partition:
     """
     _check_nonnegative("j", j)
     _check_nonnegative("run", run)
-    if rest.count(j + run + 1):
+    return _mex_join(j, run, rest)
+
+
+def _mex_join(j: int, run: int, rest: Partition) -> Partition:
+    """Unchecked :func:`mex_join` for a validated ``j`` and ``run``.
+
+    The containment check is part of the join's domain, not of its
+    arguments' types, so it stays here.
+    """
+    if j + run + 1 in rest._parts:
         raise DomainError(
             f"rest must not contain the part {j + run + 1} excluded by the mex split"
         )
     if run == 0:
         return rest
-    buf = list(rest.parts)
+    buf = list(rest._parts)
     buf.extend(range(j + 1, j + run + 1))
     return _sealed(buf)

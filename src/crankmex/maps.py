@@ -21,14 +21,18 @@ partitions of crank at least ``j``.
 Every function is pure.  Traces are built only by the maps that return
 them: :func:`fold_pair`, :func:`unfold_pair` and the four maps on top of
 them; :func:`mex_to_crank` and :func:`crank_to_mex` iterate without one.
-States (:class:`PairState`) and trace steps (:class:`TraceStep`) are named
-tuples, so they compare and hash by their fields.  Arguments are checked once,
-where they enter a public function; the step loop runs on unchecked kernels.
+States (:class:`PairState`), trace steps (:class:`TraceStep`) and traces
+(:class:`Trace`) are named tuples, so they compare and hash by their fields
+and equal the plain tuple of them; ``len(trace)`` counts the steps.
+
+Every public map checks its ``j`` exactly once, first, at its own entry.
+After that it runs on unchecked code only: the private bodies of the arm
+maps here, and the kernels ``_mex_split``, ``_mex_join`` and ``_has_arm`` of
+:mod:`crankmex.core`.  The step loop itself checks nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -38,9 +42,10 @@ from .core import (
     _check_nonnegative,
     _conjugate_parts,
     _durfee_size,
+    _has_arm,
+    _mex_join,
+    _mex_split,
     _sealed,
-    mex_join,
-    mex_split,
 )
 
 __all__ = [
@@ -132,15 +137,34 @@ class TraceStep(NamedTuple):
     after: PairState
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
-    direction: str
+class _TraceFields(NamedTuple):
+    direction: str  # "fold" or "unfold"
     start: PairState
     end: PairState
     steps: tuple[TraceStep, ...]
 
+
+class Trace(_TraceFields):
+    """The run of an iterated map: its direction, end states and every step.
+
+    A named tuple of ``(direction, start, end, steps)``: immutable, hashable
+    and equal to any tuple with the same fields.  ``len(trace)`` is the
+    number of steps, not the number of fields.
+    """
+
+    __slots__ = ()
+
     def __len__(self) -> int:
         return len(self.steps)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace builds through, checks the field
+        # count with len(), and len() here counts steps
+        result = tuple.__new__(cls, iterable)
+        if tuple.__len__(result) != 4:
+            raise TypeError(f"Expected 4 arguments, got {tuple.__len__(result)}")
+        return result
 
 
 def _with(state: PairState, k: int, lam: Partition) -> PairState:
@@ -278,44 +302,49 @@ def _iterate(
 
 
 def _fold_finished(state: PairState) -> bool:
-    if state.k:
+    j, k, lam, odd = state
+    if k:
         return False
-    parts = state.lam._parts
-    s = state.top
+    parts = lam._parts
+    s = j + 1 if odd else j  # the staircase top, as k == 0
     d = _durfee_size(parts, s)
     return not (d and parts[d - 1] - d == s)  # arm s absent
 
 
 def _unfold_finished(state: PairState) -> bool:
-    return state.top + 1 not in state.lam._parts
+    j, k, lam, odd = state
+    return j + 2 * k + (2 if odd else 1) not in lam._parts  # top + 1
 
 
 def fold_pair(state: PairState) -> tuple[PairState, Trace]:
     """Iterate :func:`fold_step` until the staircase index hits 0 and no arm remains."""
     steps: list[TraceStep] = []
     end = _iterate(state, fold_step, _fold_finished, "fold", steps)
-    return end, Trace("fold", state, end, tuple(steps))
+    return end, tuple.__new__(Trace, ("fold", state, end, tuple(steps)))
 
 
 def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
     """Iterate :func:`unfold_step` until the partition lacks the absorbable part."""
     steps: list[TraceStep] = []
     end = _iterate(state, unfold_step, _unfold_finished, "unfold", steps)
-    return end, Trace("unfold", state, end, tuple(steps))
+    return end, tuple.__new__(Trace, ("unfold", state, end, tuple(steps)))
 
 
-# The start states of fold and unfold, shared with mex_to_crank and
-# crank_to_mex.  Each checks j and the domain once, through mex_split or
-# has_arm, and then builds the PairState without the checks of __new__.
+# Each public map below checks its j once, at its entry, and then calls only
+# unchecked code: the private bodies of the arm maps, the start states, and
+# the kernels of core.  A start state checks the domain and builds its
+# PairState without the checks of __new__.
 def _fold_start(j: int, lam: Partition) -> PairState:
-    dec = mex_split(j, lam)
-    if dec.run % 2:
+    if j + 1 not in lam._parts:  # run == 0: the pair is (empty staircase, lam)
+        return tuple.__new__(PairState, (j, 0, lam, False))
+    _, run, rest = _mex_split(j, lam)
+    if run % 2:
         raise DomainError(f"{lam.to_text()!r} does not have an odd mex offset at j={j}")
-    return tuple.__new__(PairState, (j, dec.run // 2, dec.rest, False))
+    return tuple.__new__(PairState, (j, run // 2, rest, False))
 
 
 def _unfold_start(j: int, lam: Partition) -> PairState:
-    if lam.has_arm(j):
+    if _has_arm(lam._parts, j):
         raise DomainError(f"{lam.to_text()!r} has arm {j}; unfolding requires it absent")
     return tuple.__new__(PairState, (j, 0, lam, False))
 
@@ -328,14 +357,16 @@ def fold(j: int, lam: Partition) -> tuple[Partition, Trace]:
     returned together with the full step trace.  Weight is preserved, parts at
     most ``j`` are conserved, and :func:`unfold` is the exact inverse.
     """
+    _check_nonnegative("j", j)
     end, trace = fold_pair(_fold_start(j, lam))
     return end.lam, trace
 
 
 def unfold(j: int, lam: Partition) -> tuple[Partition, Trace]:
     """Inverse of :func:`fold`: rebuild the odd-mex partition from an arm-free one."""
+    _check_nonnegative("j", j)
     end, trace = unfold_pair(_unfold_start(j, lam))
-    return mex_join(j, 2 * end.k, end.lam), trace
+    return _mex_join(j, 2 * end.k, end.lam), trace
 
 
 def detach_step(j: int, lam: Partition) -> Partition:
@@ -346,16 +377,31 @@ def detach_step(j: int, lam: Partition) -> Partition:
     pairing it with the one-part staircase ``(j+1,)`` restores the weight.
     Exact inverse of :func:`attach_step`.
     """
-    if lam.avoids_arm(j):
+    _check_nonnegative("j", j)
+    return _detach_step(j, lam)
+
+
+def _detach_step(j: int, lam: Partition) -> Partition:
+    parts = lam._parts
+    d = _durfee_size(parts, j)
+    if not (d and parts[d - 1] - d == j):
         raise DomainError(f"{lam.to_text()!r} has no arm {j} to detach")
-    return _sealed(_peel(lam.parts, lam.durfee_size(j)))
+    return _sealed(_peel(parts, d))
 
 
 def attach_step(j: int, lam: Partition) -> Partition:
     """Inverse of :func:`detach_step`: absorb the one-part staircase ``(j+1,)``."""
-    if lam.has_arm(j + 1):
-        raise DomainError(f"{lam.to_text()!r} has arm {j + 1}; attaching requires it absent")
-    return _sealed(_absorb(lam.parts, lam.durfee_size(j + 1), j + 1))
+    _check_nonnegative("j", j)
+    return _attach_step(j, lam)
+
+
+def _attach_step(j: int, lam: Partition) -> Partition:
+    parts = lam._parts
+    s = j + 1
+    d = _durfee_size(parts, s)
+    if d and parts[d - 1] - d == s:
+        raise DomainError(f"{lam.to_text()!r} has arm {s}; attaching requires it absent")
+    return _sealed(_absorb(parts, d, s))
 
 
 def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
@@ -366,20 +412,22 @@ def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
     absorbing that step via :func:`attach_step` lands on a partition **with**
     arm ``j``.  Weight preserved; inverse :func:`unfold_complement`.
     """
-    dec = mex_split(j, lam)
-    if dec.run % 2 == 0:
+    _check_nonnegative("j", j)
+    _, run, rest = _mex_split(j, lam)
+    if run % 2 == 0:
         raise DomainError(f"{lam.to_text()!r} has an odd mex offset at j={j}; expected even")
-    end, trace = fold_pair(PairState(j, (dec.run - 1) // 2, dec.rest, odd=True))
-    return attach_step(j, end.lam), trace
+    end, trace = fold_pair(tuple.__new__(PairState, (j, (run - 1) // 2, rest, True)))
+    return _attach_step(j, end.lam), trace
 
 
 def unfold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
     """Inverse of :func:`fold_complement`, entered from a partition with arm ``j``."""
-    if lam.avoids_arm(j):
+    _check_nonnegative("j", j)
+    if not _has_arm(lam._parts, j):
         raise DomainError(f"{lam.to_text()!r} lacks arm {j}; cannot unfold the complement map")
-    mu = detach_step(j, lam)
-    end, trace = unfold_pair(PairState(j, 0, mu, odd=True))
-    return mex_join(j, 2 * end.k + 1, end.lam), trace
+    mu = _detach_step(j, lam)
+    end, trace = unfold_pair(tuple.__new__(PairState, (j, 0, mu, True)))
+    return _mex_join(j, 2 * end.k + 1, end.lam), trace
 
 
 def to_low_crank(j: int, lam: Partition) -> Partition:
@@ -391,14 +439,19 @@ def to_low_crank(j: int, lam: Partition) -> Partition:
     shifted Durfee size at ``j`` are preserved.  Defined for weight above 1;
     exact inverse :func:`from_low_crank`.
     """
-    if lam.weight <= 1:
+    _check_nonnegative("j", j)
+    return _to_low_crank(j, lam)
+
+
+def _to_low_crank(j: int, lam: Partition) -> Partition:
+    if lam._weight <= 1:
         raise DomainError("defined only for partitions of weight at least 2")
-    if not lam.has_part(j):
+    parts = lam._parts
+    if j and j not in parts:
         raise DomainError(f"{lam.to_text()!r} has no part {j}")
-    if lam.has_arm(j):
+    d = _durfee_size(parts, j)
+    if d and parts[d - 1] - d == j:
         raise DomainError(f"{lam.to_text()!r} has arm {j}")
-    d = lam.durfee_size(j)
-    parts = lam.parts
     buf = [p - 1 for p in parts[:d]]
     tail = list(parts[d:])
     if j:
@@ -415,12 +468,18 @@ def from_low_crank(j: int, lam: Partition) -> Partition:
     re-inserts the part ``j`` (for ``j >= 1``).  The 1s are guaranteed to
     exist: crank at most ``-j`` forces at least ``d + j`` of them.
     """
-    if lam.weight <= 1:
+    _check_nonnegative("j", j)
+    return _from_low_crank(j, lam)
+
+
+def _from_low_crank(j: int, lam: Partition) -> Partition:
+    if lam._weight <= 1:
         raise DomainError("defined only for partitions of weight at least 2")
-    if lam.crank() > -j:
-        raise DomainError(f"{lam.to_text()!r} has crank {lam.crank()} > {-j}")
-    d = lam.durfee_size(j)
-    parts = lam.parts
+    crank = lam.crank()
+    if crank > -j:
+        raise DomainError(f"{lam.to_text()!r} has crank {crank} > {-j}")
+    parts = lam._parts
+    d = _durfee_size(parts, j)
     buf = [p + 1 for p in parts[:d]]
     buf.extend(parts[d:])
     for _ in range(d + j):
@@ -468,18 +527,21 @@ def mex_to_crank(j: int, lam: Partition) -> Partition:
     :func:`negate_crank`; weight-preserving, with inverse
     :func:`crank_to_mex`.
     """
-    if lam.weight <= 1:
+    _check_nonnegative("j", j)
+    if lam._weight <= 1:
         raise DomainError("defined only for partitions of weight at least 2")
-    if not lam.has_part(j):
+    if j and j not in lam._parts:
         raise DomainError(f"{lam.to_text()!r} has no part {j}")
     end = _iterate(_fold_start(j, lam), fold_step, _fold_finished, "fold")
-    return negate_crank(to_low_crank(j, end.lam))
+    return negate_crank(_to_low_crank(j, end.lam))
 
 
 def crank_to_mex(j: int, lam: Partition) -> Partition:
     """Inverse of :func:`mex_to_crank`, defined on cranks at least ``j`` (weight > 1)."""
-    if lam.crank() < j:
-        raise DomainError(f"{lam.to_text()!r} has crank {lam.crank()} < {j}")
-    mu = from_low_crank(j, negate_crank(lam))
+    _check_nonnegative("j", j)
+    crank = lam.crank()
+    if crank < j:
+        raise DomainError(f"{lam.to_text()!r} has crank {crank} < {j}")
+    mu = _from_low_crank(j, negate_crank(lam))
     end = _iterate(_unfold_start(j, mu), unfold_step, _unfold_finished, "unfold")
-    return mex_join(j, 2 * end.k, end.lam)
+    return _mex_join(j, 2 * end.k, end.lam)

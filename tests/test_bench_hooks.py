@@ -66,3 +66,15 @@ def test_traced_maps_reach_the_iterated_maps_through_the_module(monkeypatch):
         calls.clear()
         fn(0, arg)
         assert calls == [expected], fn.__name__
+
+
+def test_tracer_reads_step_counts_and_cap_from_a_trace():
+    tracer = _tracer()
+    recorder = tracer.Tracer(lib=None)
+    start = maps.PairState(0, 0, Partition((11, 8, 7, 7, 5, 5, 4, 3, 2, 2)))
+    result = maps.fold_pair(start)
+    recorder._post_hooks()["maps.fold_pair"](result)
+    trace = result[1]
+    case1 = [step.case for step in trace.steps].count(1)
+    assert recorder.traces == [(len(trace), case1, tracer.iteration_cap(start))]
+    assert 0 < len(trace) < tracer.iteration_cap(start)

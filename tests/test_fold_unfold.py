@@ -5,6 +5,7 @@ from crankmex import (
     DomainError,
     PairState,
     Partition,
+    Trace,
     TraceStep,
     attach_step,
     detach_step,
@@ -100,6 +101,27 @@ def test_states_and_steps_are_immutable_values():
     for value, field in ((state, "k"), (step, "case")):
         with pytest.raises(AttributeError):
             setattr(value, field, 0)
+
+
+def test_traces_are_named_tuples_whose_length_counts_steps():
+    _, trace = fold(0, RUNNING)
+    fields = (trace.direction, trace.start, trace.end, trace.steps)
+    assert type(trace) is Trace and trace == fields and hash(trace) == hash(fields)
+    assert len(trace) == len(trace.steps) == len(golden_data.FOLD_TRACES[0][0])
+    assert Trace(*fields) == trace
+    # _replace goes through _make, which must count fields, not steps
+    empty = trace._replace(steps=())
+    assert type(empty) is Trace and empty == fields[:3] + ((),) and len(empty) == 0
+    assert trace._replace(direction="unfold") == ("unfold",) + fields[1:]
+    with pytest.raises(TypeError):
+        Trace._make(fields[:3])
+    for field in ("steps", "start", "other"):
+        with pytest.raises(AttributeError):
+            setattr(trace, field, None)
+    # what the benchmark's tracer reads: the steps' cases and the start state
+    assert trace.start == PairState(0, 0, RUNNING)
+    assert trace.steps[0].before == trace.start and trace.steps[-1].after == trace.end
+    assert all(step.case in (1, 2) for step in trace.steps)
 
 
 def test_fixed_points_are_tagged():

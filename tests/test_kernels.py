@@ -3,10 +3,12 @@ against its definition written out by brute force."""
 
 from itertools import count
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crankmex import Partition, partitions_of
+from crankmex import DomainError, MexDecomposition, Partition, mex_join, mex_split, partitions_of
+from crankmex.core import _has_arm, _mex, _mex_join, _mex_split
 from crankmex.verify import _class_masks
 
 MAX_N = 18
@@ -29,6 +31,30 @@ def test_count_above_mex_and_conjugate_match_their_definitions():
         for v in range(n + 3):
             assert lam.count_above(v) == sum(p > v for p in parts)
             assert lam.mex(v) == next(m for m in count(v + 1) if m not in parts)
+
+
+def test_unchecked_kernels_match_the_public_functions_and_their_definitions():
+    for n, lam in _every_partition():
+        parts = lam.parts
+        for j in range(n + 3):
+            mex = next(m for m in count(j + 1) if m not in parts)
+            assert _mex(parts, j) == lam.mex(j) == mex
+            arm = any(p - i == j for i, p in enumerate(parts, 1))
+            assert _has_arm(parts, j) == lam.has_arm(j) == arm
+            rest = list(parts)
+            for v in range(j + 1, mex):
+                rest.remove(v)
+            split = MexDecomposition(j, mex - j - 1, Partition(rest))
+            assert _mex_split(j, lam) == mex_split(j, lam) == split
+            for run in range(4):
+                if j + run + 1 in parts:
+                    for join in (_mex_join, mex_join):
+                        with pytest.raises(DomainError, match="excluded by the mex split"):
+                            join(j, run, lam)
+                else:
+                    added = tuple(range(j + 1, j + run + 1))
+                    joined = Partition(sorted(parts + added, reverse=True))
+                    assert _mex_join(j, run, lam) == mex_join(j, run, lam) == joined
 
 
 def test_class_masks_agree_with_the_statistics():
