@@ -349,13 +349,9 @@ def _mex_split(j: int, lam: Partition) -> MexDecomposition:
     run = _mex(lam._parts, j) - j - 1
     if run == 0:
         return MexDecomposition(j, 0, lam)
-    pending = set(range(j + 1, j + run + 1))
-    buf = []
-    for p in lam._parts:
-        if p in pending:
-            pending.remove(p)
-        else:
-            buf.append(p)
+    buf = list(lam._parts)
+    for v in range(j + 1, j + run + 1):
+        buf.remove(v)
     return MexDecomposition(j, run, _sealed(buf))
 
 

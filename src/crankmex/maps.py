@@ -29,6 +29,13 @@ Every public map checks its ``j`` exactly once, first, at its own entry.
 After that it runs on unchecked code only: the private bodies of the arm
 maps here, and the kernels ``_mex_split``, ``_mex_join`` and ``_has_arm`` of
 :mod:`crankmex.core`.  The step loop itself checks nothing.
+
+Each direction has one move, ``_fold_move`` and ``_unfold_move``, on the bare
+fields ``(j, k, odd, parts)`` of a state.  One Durfee scan (fold) or one
+membership test (unfold) decides both whether the state is terminal and
+which case applies.  :func:`fold_step` and :func:`unfold_step` wrap a move in
+a :class:`StepResult`; the iterated maps loop on the move itself and build a
+:class:`PairState` per step only when they keep a trace.
 """
 
 from __future__ import annotations
@@ -170,8 +177,8 @@ class Trace(_TraceFields):
 def _with(state: PairState, k: int, lam: Partition) -> PairState:
     """``state`` with ``k`` and ``lam`` replaced, without the checks of ``__new__``.
 
-    ``j`` and ``odd`` come from a state already checked.  The step maps pass
-    ``k``, ``k + 1`` or ``k - 1``, the last only after ``k == 0`` has raised.
+    ``j`` and ``odd`` come from a state already checked.  The moves return
+    ``k``, ``k + 1`` or ``k - 1``, the last only when ``k > 0``.
     """
     return tuple.__new__(PairState, (state.j, k, lam, state.odd))
 
@@ -193,6 +200,50 @@ def _absorb(parts: tuple[int, ...], d: int, s: int) -> list[int]:
     return buf
 
 
+# The moves (see the module docstring).  A move returns None at the terminal
+# state, else (case, d, new_k, buf) with buf the unsorted parts for _sealed,
+# or None with FIXED_POINT when the state maps to itself.
+def _fold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
+    s = j + 2 * k + (1 if odd else 0)  # the staircase top
+    d = _durfee_size(parts, s)
+    if d and parts[d - 1] - d == s:
+        if d == 1:
+            # largest part is exactly s + 1: the move would reproduce lam
+            return FIXED_POINT, d, k, None
+        buf = _peel(parts, d)
+        buf.append(s + 1)
+        return 1, d, k, buf
+    if not k:
+        return None
+    buf = _absorb(parts, d, s)
+    buf.append(s - 1)
+    return 2, d, k - 1, buf
+
+
+def _unfold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
+    target = j + 2 * k + (2 if odd else 1)  # the staircase top + 1
+    if target not in parts:
+        return None
+    d = _durfee_size(parts, target)
+    if d and parts[d - 1] - d == target:
+        buf = _peel(parts, d)
+        buf.remove(target)
+        return 1, d, k + 1, buf
+    if d == 0:
+        return FIXED_POINT, d, k, None
+    buf = _absorb(parts, d, target)
+    buf.remove(target)  # any copy: _sealed sorts the buffer
+    return 2, d, k, buf
+
+
+def _stepped(state: PairState, move) -> StepResult:
+    """The :class:`StepResult` of a move from ``state`` that is not terminal."""
+    case, d, k, buf = move
+    if case == FIXED_POINT:
+        return StepResult(state, case, d)
+    return StepResult(_with(state, k, _sealed(buf)), case, d)
+
+
 def fold_step(state: PairState) -> StepResult:
     """One move toward a shorter staircase.
 
@@ -211,25 +262,14 @@ def fold_step(state: PairState) -> StepResult:
     itself; it is returned unchanged with the ``FIXED_POINT`` tag.  Calling
     this on a terminal state (empty staircase, arm absent) is a domain error.
     """
-    lam = state.lam
-    parts = lam._parts
-    s = state.top
-    d = _durfee_size(parts, s)
-    if d and parts[d - 1] - d == s:
-        if d == 1:
-            # largest part is exactly s + 1: the move would reproduce lam
-            return StepResult(state, FIXED_POINT, d)
-        buf = _peel(parts, d)
-        buf.append(s + 1)
-        return StepResult(_with(state, state.k, _sealed(buf)), 1, d)
-    if state.k == 0:
+    j, k, lam, odd = state
+    move = _fold_move(j, k, odd, lam._parts)
+    if move is None:
         raise DomainError(
             "cannot fold a terminal state: staircase exhausted and no arm "
-            f"{s} present in {lam.to_text()!r}"
+            f"{state.top} present in {lam.to_text()!r}"
         )
-    buf = _absorb(parts, d, s)
-    buf.append(s - 1)
-    return StepResult(_with(state, state.k - 1, _sealed(buf)), 2, d)
+    return _stepped(state, move)
 
 
 def unfold_step(state: PairState) -> StepResult:
@@ -248,85 +288,65 @@ def unfold_step(state: PairState) -> StepResult:
     When ``d == 0`` the largest part equals ``s + 1`` and the state is fixed;
     it is returned unchanged with the ``FIXED_POINT`` tag.
     """
-    lam = state.lam
-    parts = lam._parts
-    target = state.top + 1
-    if target not in parts:
+    j, k, lam, odd = state
+    move = _unfold_move(j, k, odd, lam._parts)
+    if move is None:
         raise DomainError(
-            f"cannot unfold a terminal state: no part {target} in {lam.to_text()!r}"
+            f"cannot unfold a terminal state: no part {state.top + 1} in {lam.to_text()!r}"
         )
-    d = _durfee_size(parts, target)
-    if d and parts[d - 1] - d == target:
-        buf = _peel(parts, d)
-        buf.remove(target)
-        return StepResult(_with(state, state.k + 1, _sealed(buf)), 1, d)
-    if d == 0:
-        return StepResult(state, FIXED_POINT, d)
-    buf = _absorb(parts, d, target)
-    buf.remove(target)  # any copy: _sealed sorts the buffer
-    return StepResult(_with(state, state.k, _sealed(buf)), 2, d)
+    return _stepped(state, move)
 
 
 def _iterate(
     start: PairState,
-    stepper: Callable[[PairState], StepResult],
-    finished: Callable[[PairState], bool],
+    move: Callable,
     direction: str,
     steps: list[TraceStep] | None = None,
 ) -> PairState:
-    """Step from ``start`` until ``finished``; return the end state.
+    """Apply ``move`` from ``start`` until it reports the terminal state.
 
     Each step taken is appended to ``steps`` as a :class:`TraceStep` when a
-    list is given.  The cap holds either way.
+    list is given; otherwise no state is built until the end.  The cap holds
+    either way.
     """
-    if finished(start):
+    j, k, lam, odd = start
+    result = move(j, k, odd, lam._parts)
+    if result is None:
         return start
     # Loose cap; legal runs finish far earlier, so exceeding it is a bug.
     cap = 2 * start.pair_weight + 2 * start.k + 4
     cur = start
     taken = 0
     while True:
-        result = stepper(cur)
-        if result.case == FIXED_POINT:
+        case, d, k, buf = result
+        if case == FIXED_POINT:
             raise IterationLimitError(
                 f"{direction} iteration reached a fixed state outside the stop set"
             )
+        lam = _sealed(buf)
         if steps is not None:
-            steps.append(TraceStep(direction, result.case, result.d, cur, result.state))
+            after = tuple.__new__(PairState, (j, k, lam, odd))
+            steps.append(TraceStep(direction, case, d, cur, after))
+            cur = after
         taken += 1
         if taken > cap:
             raise IterationLimitError(f"{direction} iteration exceeded the cap of {cap} steps")
-        cur = result.state
-        if finished(cur):
-            return cur
-
-
-def _fold_finished(state: PairState) -> bool:
-    j, k, lam, odd = state
-    if k:
-        return False
-    parts = lam._parts
-    s = j + 1 if odd else j  # the staircase top, as k == 0
-    d = _durfee_size(parts, s)
-    return not (d and parts[d - 1] - d == s)  # arm s absent
-
-
-def _unfold_finished(state: PairState) -> bool:
-    j, k, lam, odd = state
-    return j + 2 * k + (2 if odd else 1) not in lam._parts  # top + 1
+        result = move(j, k, odd, lam._parts)
+        if result is None:
+            return cur if steps is not None else tuple.__new__(PairState, (j, k, lam, odd))
 
 
 def fold_pair(state: PairState) -> tuple[PairState, Trace]:
     """Iterate :func:`fold_step` until the staircase index hits 0 and no arm remains."""
     steps: list[TraceStep] = []
-    end = _iterate(state, fold_step, _fold_finished, "fold", steps)
+    end = _iterate(state, _fold_move, "fold", steps)
     return end, tuple.__new__(Trace, ("fold", state, end, tuple(steps)))
 
 
 def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
     """Iterate :func:`unfold_step` until the partition lacks the absorbable part."""
     steps: list[TraceStep] = []
-    end = _iterate(state, unfold_step, _unfold_finished, "unfold", steps)
+    end = _iterate(state, _unfold_move, "unfold", steps)
     return end, tuple.__new__(Trace, ("unfold", state, end, tuple(steps)))
 
 
@@ -482,10 +502,10 @@ def _from_low_crank(j: int, lam: Partition) -> Partition:
     d = _durfee_size(parts, j)
     buf = [p + 1 for p in parts[:d]]
     buf.extend(parts[d:])
-    for _ in range(d + j):
-        if not buf or buf[-1] != 1:
-            raise IterationLimitError("missing guaranteed trailing 1s (bug)")
-        buf.pop()
+    ones = d + j  # at least 1: weight above 1 makes d >= 1 when j == 0
+    if len(buf) < ones or buf[-ones] != 1:  # buf is non-increasing
+        raise IterationLimitError("missing guaranteed trailing 1s (bug)")
+    del buf[-ones:]
     if j:
         buf.append(j)
     return _sealed(buf)
@@ -532,7 +552,7 @@ def mex_to_crank(j: int, lam: Partition) -> Partition:
         raise DomainError("defined only for partitions of weight at least 2")
     if j and j not in lam._parts:
         raise DomainError(f"{lam.to_text()!r} has no part {j}")
-    end = _iterate(_fold_start(j, lam), fold_step, _fold_finished, "fold")
+    end = _iterate(_fold_start(j, lam), _fold_move, "fold")
     return negate_crank(_to_low_crank(j, end.lam))
 
 
@@ -543,5 +563,5 @@ def crank_to_mex(j: int, lam: Partition) -> Partition:
     if crank < j:
         raise DomainError(f"{lam.to_text()!r} has crank {crank} < {j}")
     mu = _from_low_crank(j, negate_crank(lam))
-    end = _iterate(_unfold_start(j, mu), unfold_step, _unfold_finished, "unfold")
+    end = _iterate(_unfold_start(j, mu), _unfold_move, "unfold")
     return _mex_join(j, 2 * end.k, end.lam)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .core import DomainError, Partition, _check_nonnegative
+from .core import DomainError, Partition, _check_nonnegative, _durfee_size
 from . import maps
 
 __all__ = [
@@ -273,7 +273,7 @@ def _series(cell):
 def _crank_criterion(cell):
     j = cell.j
     for lam, crank, _, _ in cell.classified:
-        if (crank <= -j) != (lam.count(1) >= lam.durfee_size(j) + j):
+        if (crank <= -j) != (lam.count(1) >= _durfee_size(lam._parts, j) + j):
             return lam.to_text(), "crank/ones criterion mismatch"
     return None
 
@@ -298,22 +298,24 @@ def _bijection(domain, codomain, forward, backward, preserved=None):
 
     def check(cell):
         j = cell.j
-        fwd = {}  # keyed by part tuples, which hash and compare in C
+        # keyed by part tuples, which hash and compare in C; the fields are
+        # read directly, as this loop touches every element of every class
+        fwd = {}
         for lam in cell.classes[domain]:
             image = forward(j, lam)
-            if image.weight != lam.weight:
+            if image._weight != lam._weight:
                 return lam.to_text(), "weight not preserved"
             if preserved is not None and preserved(j, lam) != preserved(j, image):
                 return lam.to_text(), "conserved quantity broken"
-            fwd[lam.parts] = image.parts
+            fwd[lam._parts] = image._parts
         images = set(fwd.values())
         if len(images) != len(fwd):
             return None, "forward map is not injective"
         targets = cell.classes[codomain]
-        if images != {nu.parts for nu in targets}:
+        if images != {nu._parts for nu in targets}:
             return None, "forward image differs from the stated codomain"
         for nu in targets:
-            if fwd.get(backward(j, nu).parts) != nu.parts:
+            if fwd.get(backward(j, nu)._parts) != nu._parts:
                 return nu.to_text(), "backward map does not invert the forward map"
         return None
 
@@ -350,7 +352,7 @@ _CELL_CHECKS = (
         "arm_free_with_part", "low_crank",
         lambda j, lam: maps.to_low_crank(j, lam),
         lambda j, mu: maps.from_low_crank(j, mu),
-        preserved=lambda j, lam: lam.durfee_size(j),
+        preserved=lambda j, lam: _durfee_size(lam._parts, j),
     )),
     ("bijection-mex-to-crank", 2, _bijection(
         "odd_mex_with_part", "high_crank",

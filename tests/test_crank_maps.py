@@ -4,7 +4,6 @@ from crankmex import (
     DomainError,
     IterationLimitError,
     Partition,
-    StepResult,
     crank_to_mex,
     fold,
     from_low_crank,
@@ -86,6 +85,17 @@ def test_low_crank_preserves_weight_and_durfee_size():
                 assert out.crank() <= -j
                 assert out.durfee_size(j) == lam.durfee_size(j)
                 assert from_low_crank(j, out) == lam
+
+
+@pytest.mark.parametrize("overshoot", [1, 5])
+def test_from_low_crank_guards_its_trailing_ones(monkeypatch, overshoot):
+    # crank at most -j guarantees d + j trailing 1s; a Durfee size that
+    # overshoots asks for more 1s than the partition holds (by 5: more than
+    # it has parts), which is a bug
+    durfee = maps._durfee_size
+    monkeypatch.setattr(maps, "_durfee_size", lambda parts, j: durfee(parts, j) + overshoot)
+    with pytest.raises(IterationLimitError, match="missing guaranteed trailing 1s"):
+        from_low_crank(0, P("2,1,1"))
 
 
 def test_low_crank_domain_errors():
@@ -199,17 +209,17 @@ def test_composites_match_their_traced_compositions():
 
 
 def test_composite_keeps_the_iteration_cap(monkeypatch):
-    # a stepper that grows the staircase forever: never finished, never fixed;
+    # a move that grows the staircase forever: never terminal, never fixed;
     # it gives up on its own long after the cap (14 steps here), so a missing
     # cap fails the test instead of hanging it
     calls = []
 
-    def runaway(state):
-        calls.append(state)
+    def runaway(j, k, odd, parts):
+        calls.append(k)
         assert len(calls) < 1000, "the iteration cap did not stop the run"
-        return StepResult(state._replace(k=state.k + 1), 2, 0)
+        return 2, 0, k + 1, list(parts)
 
-    monkeypatch.setattr(maps, "fold_step", runaway)
+    monkeypatch.setattr(maps, "_fold_move", runaway)
     with pytest.raises(IterationLimitError, match="exceeded the cap of 14 steps"):
         mex_to_crank(0, P("2,1,1"))
     assert len(calls) == 15

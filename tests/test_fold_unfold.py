@@ -19,6 +19,7 @@ from crankmex import (
     unfold_complement,
     unfold_step,
 )
+from crankmex import maps
 
 import golden_data
 
@@ -147,6 +148,22 @@ def test_fold_reproduces_reference_traces(j):
     stop_k, stop_lam, _ = stop
     assert trace.end.k == stop_k
     assert out == P(stop_lam)
+
+
+@pytest.mark.parametrize("j", sorted(golden_data.FOLD_TRACES))
+def test_fold_scans_once_per_step(monkeypatch, j):
+    # one Durfee scan decides both "stop" and "which case": one per step
+    # taken and one for the terminal state
+    calls = []
+    durfee = maps._durfee_size
+
+    def counting(parts, s):
+        calls.append(s)
+        return durfee(parts, s)
+
+    monkeypatch.setattr(maps, "_durfee_size", counting)
+    _, trace = fold(j, RUNNING)
+    assert len(calls) == len(trace) + 1
 
 
 @pytest.mark.parametrize("j", sorted(golden_data.FOLD_TRACES))

@@ -16,8 +16,19 @@ from collections import Counter
 
 import pytest
 
-from crankmex import DomainError, Partition
-from crankmex.maps import FIXED_POINT, PairState, attach_step, detach_step, fold_step, unfold_step
+from crankmex import DomainError, IterationLimitError, Partition
+from crankmex.maps import (
+    FIXED_POINT,
+    PairState,
+    StepResult,
+    _fold_move,
+    _iterate,
+    _unfold_move,
+    attach_step,
+    detach_step,
+    fold_step,
+    unfold_step,
+)
 
 MAX_PAIR_WEIGHT = 16
 MAX_J = 3
@@ -146,6 +157,40 @@ def test_fold_and_unfold_steps_match_the_reference():
     for direction in ("fold", "unfold"):
         for case in (1, 2, FIXED_POINT, "terminal"):
             assert cases[direction, case] > 100, (direction, case, cases)
+
+
+def _run(start, move, direction, steps=None):
+    try:
+        return _iterate(start, move, direction, steps)
+    except IterationLimitError as exc:
+        return str(exc)
+
+
+def test_iterations_with_and_without_a_trace_agree_and_replay():
+    # _iterate builds states only when it keeps a trace; both runs must end
+    # alike, and every traced step must be what the public step map returns
+    ends = Counter()
+    for j, k, parts, odd in _states():
+        start = PairState(j, k, Partition(parts), odd=odd)
+        for direction, move, step in (
+            ("fold", _fold_move, fold_step),
+            ("unfold", _unfold_move, unfold_step),
+        ):
+            steps = []
+            end = _run(start, move, direction, steps)
+            assert _run(start, move, direction) == end, (direction, start)
+            for s in steps:
+                assert s.direction == direction
+                assert step(s.before) == StepResult(s.after, s.case, s.d), (direction, start)
+            if isinstance(end, str):
+                ends[direction, "fixed"] += 1
+                continue
+            assert [s.before for s in steps[1:]] == [s.after for s in steps[:-1]]
+            assert end == (steps[-1].after if steps else start)
+            ends[direction, "moved" if steps else "still"] += 1
+    # runs that move, runs that stop at once and runs that hit a fixed state
+    # all occur in the scan
+    assert min(ends.values()) > 100 and len(ends) == 6, ends
 
 
 def test_detach_and_attach_match_the_reference():
