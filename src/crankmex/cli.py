@@ -1,9 +1,11 @@
 """Command-line frontend: statistics, map application, traces, tables, verification.
 
 Partitions are passed as comma-separated parts in non-increasing order; the
-empty string denotes the empty partition.  Exit codes: 0 success / all checks
-pass, 1 domain or parse error, 2 verification failure, 3 internal error (any
-other exception, which is a bug).
+empty string denotes the empty partition.  Each command builds its records
+once: ``--format records`` prints them as JSON lines, ``--output`` writes them,
+and the aligned text is rendered from them.  Exit codes: 0 success / all
+checks pass, 1 domain or parse error, 2 verification failure, 3 internal error
+(any other exception, which is a bug).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 from . import maps
 from .core import DomainError, Partition, PartitionError
-from .verify import run_theorem_suite
+from .verify import partitions_of, run_theorem_suite
 
 __all__ = ["main"]
 
@@ -68,12 +70,19 @@ def _int_in(limit: int):
     return parse
 
 
-def _cell(lam: Partition) -> str:
-    return lam.to_text() or "(empty)"
+def _cell(value) -> str:
+    """A record value as one text cell: ``yes``/``no`` for a bool, a list
+    comma-joined, ``(empty)`` for an empty partition or list, else ``str``."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        value = ",".join(map(str, value))
+    return str(value) or "(empty)"
 
 
-def _columns(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
-    table = [header, *rows]
+def _columns(header: tuple[str, ...], rows) -> list[str]:
+    """Aligned text lines of ``header`` and ``rows``, each row a sequence of values."""
+    table = [header, *(tuple(map(_cell, row)) for row in rows)]
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
     return [
         "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
@@ -119,9 +128,8 @@ def _write_records(path: str, records: list[dict]) -> None:
 
 def _emit(args, lines: list[str], records: list[dict]) -> None:
     # the file first, so an unwritable --output fails before anything is printed
-    output = getattr(args, "output", None)
-    if output and output != "-":
-        _write_records(output, records)
+    if args.output and args.output != "-":
+        _write_records(args.output, records)
     if args.format == "records":
         for record in records:
             print(json.dumps(record, sort_keys=True))
@@ -133,25 +141,9 @@ def _emit(args, lines: list[str], records: list[dict]) -> None:
 def _cmd_stats(args) -> int:
     lam = Partition.from_text(args.partition)
     ones = lam.count(1)
-    tall = lam.count_above(ones)
     triple = lam.durfee_triple()
-    lines = [
-        f"partition {_cell(lam)}",
-        f"weight {lam.weight}",
-        f"length {len(lam)}",
-        f"ones {ones}",
-        f"parts-above-ones {tall}",
-        f"crank {lam.crank()}",
-        f"conjugate {_cell(lam.conjugate())}",
-        f"durfee-size {triple.size}",
-        f"durfee-arms {','.join(map(str, triple.arms)) or '(empty)'}",
-        f"durfee-legs {','.join(map(str, triple.legs)) or '(empty)'}",
-    ]
-    header = ("j", "mex", "d", "odd-mex", "arm-free", "has-part")
-    rows = []
-    by_j = []
-    for j in range(args.max_j + 1):
-        row = {
+    by_j = [
+        {
             "j": j,
             "mex": lam.mex(j),
             "durfee_size": lam.durfee_size(j),
@@ -159,24 +151,14 @@ def _cmd_stats(args) -> int:
             "arm_free": lam.avoids_arm(j),
             "has_part": lam.has_part(j),
         }
-        by_j.append(row)
-        rows.append(
-            (
-                str(j),
-                str(row["mex"]),
-                str(row["durfee_size"]),
-                "yes" if row["odd_mex"] else "no",
-                "yes" if row["arm_free"] else "no",
-                "yes" if row["has_part"] else "no",
-            )
-        )
-    lines.extend(_columns(header, rows))
+        for j in range(args.max_j + 1)
+    ]
     record = {
         "partition": lam.to_text(),
         "weight": lam.weight,
         "length": len(lam),
         "ones": ones,
-        "parts_above_ones": tall,
+        "parts_above_ones": lam.count_above(ones),
         "crank": lam.crank(),
         "conjugate": lam.conjugate().to_text(),
         "durfee_size": triple.size,
@@ -184,27 +166,24 @@ def _cmd_stats(args) -> int:
         "durfee_legs": list(triple.legs),
         "by_j": by_j,
     }
+    lines = [f"{k.replace('_', '-')} {_cell(v)}" for k, v in record.items() if k != "by_j"]
+    header = ("j", "mex", "d", "odd-mex", "arm-free", "has-part")
+    lines += _columns(header, [row.values() for row in by_j])
     _emit(args, lines, [record])
     return 0
 
 
-def _apply_map(name: str, j: int, lam: Partition):
-    """Returns (result partition, trace-or-None)."""
+def _apply_map(name: str, j: int, lam: Partition) -> Partition:
     if name in _TRACED_MAPS:
-        return _TRACED_MAPS[name](j, lam)
+        return _TRACED_MAPS[name](j, lam)[0]
     if name in _PLAIN_MAPS:
-        return _PLAIN_MAPS[name](j, lam), None
-    return _NO_J_MAPS[name](lam), None
+        return _PLAIN_MAPS[name](j, lam)
+    return _NO_J_MAPS[name](lam)
 
 
 def _cmd_map(args) -> int:
     lam = Partition.from_text(args.partition)
-    result, _ = _apply_map(args.map, args.j, lam)
-    lines = [
-        f"map {args.map} j={args.j}",
-        f"input {_cell(lam)}  crank {lam.crank()}",
-        f"output {_cell(result)}  crank {result.crank()}",
-    ]
+    result = _apply_map(args.map, args.j, lam)
     record = {
         "map": args.map,
         "j": args.j,
@@ -213,6 +192,11 @@ def _cmd_map(args) -> int:
         "crank_before": lam.crank(),
         "crank_after": result.crank(),
     }
+    lines = [
+        f"map {record['map']} j={record['j']}",
+        f"input {_cell(record['input'])}  crank {record['crank_before']}",
+        f"output {_cell(record['output'])}  crank {record['crank_after']}",
+    ]
     _emit(args, lines, [record])
     return 0
 
@@ -220,61 +204,44 @@ def _cmd_map(args) -> int:
 def _cmd_trace(args) -> int:
     lam = Partition.from_text(args.partition)
     result, trace = _TRACED_MAPS[args.map](args.j, lam)
-    lines = [f"{args.map} trace: j={args.j}, input {_cell(lam)}"]
-    header = ("step", "k", "partition", "d", "case", "result")
-    rows = []
-    records = []
-    for index, step in enumerate(trace.steps, 1):
-        rows.append(
-            (
-                str(index),
-                str(step.before.k),
-                _cell(step.before.lam),
-                str(step.d),
-                f"({step.case})",
-                _cell(step.after.lam),
-            )
-        )
-        records.append(
-            {
-                "step_index": index,
-                "direction": step.direction,
-                "case": step.case,
-                "k_before": step.before.k,
-                "k_after": step.after.k,
-                "d": step.d,
-                "lam_before": step.before.lam.to_text(),
-                "lam_after": step.after.lam.to_text(),
-            }
-        )
-    end = trace.end
-    if trace.direction == "fold":
-        d_end = end.lam.durfee_size(end.top)
-    else:
-        d_end = end.lam.durfee_size(end.top + 1)
-    rows.append(("stop", str(end.k), _cell(end.lam), str(d_end), "-", "-"))
-    lines.extend(_columns(header, rows))
-    lines.append(f"output pair: k={end.k}, partition {_cell(result)}")
-    records.append(
+    records = [
         {
-            "step_index": "output",
-            "direction": trace.direction,
-            "k_after": end.k,
-            "lam_after": result.to_text(),
+            "step_index": index,
+            "direction": step.direction,
+            "case": step.case,
+            "k_before": step.before.k,
+            "k_after": step.after.k,
+            "d": step.d,
+            "lam_before": step.before.lam.to_text(),
+            "lam_after": step.after.lam.to_text(),
         }
-    )
+        for index, step in enumerate(trace.steps, 1)
+    ]
+    rows = [
+        (r["step_index"], r["k_before"], r["lam_before"], r["d"], f"({r['case']})", r["lam_after"])
+        for r in records
+    ]
+    end = trace.end  # the stop row's d is taken at top on a fold, at top + 1 on an unfold
+    d_end = end.lam.durfee_size(end.top if trace.direction == "fold" else end.top + 1)
+    rows.append(("stop", end.k, end.lam.to_text(), d_end, "-", "-"))
+    output = {
+        "step_index": "output", "direction": trace.direction,
+        "k_after": end.k, "lam_after": result.to_text(),
+    }
+    records.append(output)
+    lines = [
+        f"{args.map} trace: j={args.j}, input {_cell(lam.to_text())}",
+        *_columns(("step", "k", "partition", "d", "case", "result"), rows),
+        f"output pair: k={output['k_after']}, partition {_cell(output['lam_after'])}",
+    ]
     _emit(args, lines, records)
     return 0
 
 
 def _cmd_table(args) -> int:
-    from .verify import partitions_of
-
     weight, j = args.weight, args.j
     if weight < 2:
         raise DomainError("the crank correspondence assumes weight at least 2")
-    header = ("input", "folded", "low-crank", "final", "crank-low", "crank-final")
-    rows = []
     records = []
     for lam in partitions_of(weight):
         if not (lam.has_odd_mex(j) and lam.has_part(j)):
@@ -282,16 +249,6 @@ def _cmd_table(args) -> int:
         folded, _ = maps.fold(j, lam)
         low = maps.to_low_crank(j, folded)
         final = maps.negate_crank(low)
-        rows.append(
-            (
-                _cell(lam),
-                _cell(folded),
-                _cell(low),
-                _cell(final),
-                str(low.crank()),
-                str(final.crank()),
-            )
-        )
         records.append(
             {
                 "input": lam.to_text(),
@@ -302,9 +259,12 @@ def _cmd_table(args) -> int:
                 "crank_final": final.crank(),
             }
         )
-    lines = [f"weight {weight}, j {j}: odd-mex class with part {j} mapped to crank >= {j}"]
-    lines.extend(_columns(header, rows))
-    lines.append(f"rows {len(rows)}")
+    header = ("input", "folded", "low-crank", "final", "crank-low", "crank-final")
+    lines = [
+        f"weight {weight}, j {j}: odd-mex class with part {j} mapped to crank >= {j}",
+        *_columns(header, [record.values() for record in records]),
+        f"rows {len(records)}",
+    ]
     _emit(args, lines, records)
     return 0
 
@@ -322,10 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, output=True):
+    def common(p):
         p.add_argument("--format", choices=("text", "records"), default="text")
-        if output:
-            p.add_argument("--output", default=None, help="write machine-readable records here")
+        p.add_argument("--output", default=None, help="write machine-readable records here")
 
     p_stats = sub.add_parser("stats", help="print all statistics for one partition")
     p_stats.add_argument("partition")

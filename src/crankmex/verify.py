@@ -38,8 +38,7 @@ def _raw_partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 def partitions_of(n: int, *, limit: int = ENUMERATION_LIMIT) -> Iterator[Partition]:
     """Yield every partition of ``n`` once, in lexicographically decreasing order."""
-    if n < 0:
-        raise DomainError(f"cannot enumerate partitions of {n}")
+    _check_nonnegative("n", n)
     if n > limit:
         raise DomainError(f"enumeration limit is {limit}, got weight {n}")
     for raw in _raw_partitions(n, n):
@@ -78,18 +77,27 @@ class CrankTable:
         return bad
 
 
+def _crank_row(n: int, cranks) -> dict[int, int]:
+    """Count ``cranks``, those of the partitions of ``n``, by value.
+
+    The weight-1 row is the convention ``{1: 1, 0: -1, -1: 1}``; ``cranks``
+    is then never read, so a lazy enumeration is not started.
+    """
+    if n == 1:
+        return {1: 1, 0: -1, -1: 1}
+    row: dict[int, int] = {}
+    for crank in cranks:
+        row[crank] = row.get(crank, 0) + 1
+    return row
+
+
 def crank_table(max_weight: int, *, limit: int = ENUMERATION_LIMIT) -> CrankTable:
     """Tabulate crank counts for all weights up to ``max_weight``."""
+    _check_nonnegative("max_weight", max_weight)
     counts: dict[tuple[int, int], int] = {}
     for n in range(max_weight + 1):
-        if n == 1:
-            counts[(1, 1)] = 1
-            counts[(0, 1)] = -1
-            counts[(-1, 1)] = 1
-            continue
-        for lam in partitions_of(n, limit=limit):
-            key = (lam.crank(), n)
-            counts[key] = counts.get(key, 0) + 1
+        row = _crank_row(n, (lam.crank() for lam in partitions_of(n, limit=limit)))
+        counts.update(((m, n), count) for m, count in row.items())
     return CrankTable(max_weight, counts)
 
 
@@ -99,8 +107,7 @@ def partition_series(order: int) -> list[int]:
     Computed by the textbook dynamic programme over part sizes; exact
     integers throughout.
     """
-    if order < 0:
-        raise DomainError("order must be non-negative")
+    _check_nonnegative("order", order)
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for part in range(1, order + 1):
@@ -117,8 +124,7 @@ def odd_mex_series(j: int, order: int) -> list[int]:
     number of partitions of ``n`` whose mex offset at ``j`` is odd, and also
     the number avoiding arm ``j``.
     """
-    if j < 0:
-        raise DomainError("j must be non-negative")
+    _check_nonnegative("j", j)
     base = partition_series(order)
     out = [0] * (order + 1)
     k = 0
@@ -194,8 +200,8 @@ class VerificationReport:
 class _Weight(NamedTuple):  # what the per-weight checks read
     n: int
     classified: list  # (lam, crank, part_bits, arm_bits) for every partition of n
-    table: CrankTable
-    asymmetric: int | None  # smallest m with count(m, n) != count(-m, n)
+    row: dict[int, int]  # crank -> count, from the cranks in classified
+    p: int  # coefficient n of partition_series, independent of the enumeration
 
 
 class _Cell(NamedTuple):  # what the per-(n, j) checks read
@@ -254,12 +260,15 @@ def _negation(weight):
 
 
 def _symmetry(weight):
-    m, n = weight.asymmetric, weight.n
-    return None if m is None else (None, f"count({m},{n}) != count({-m},{n})")
+    n, row = weight.n, weight.row
+    for m in range(1, n + 1):
+        if row.get(m, 0) != row.get(-m, 0):
+            return None, f"count({m},{n}) != count({-m},{n})"
+    return None
 
 
 def _row_sum(weight):
-    total, pn = weight.table.row_sum(weight.n), len(weight.classified)
+    total, pn = sum(weight.row.values()), weight.p
     return None if total == pn else (None, f"row sum {total} != p({weight.n}) = {pn}")
 
 
@@ -362,43 +371,17 @@ _CELL_CHECKS = (
 )
 
 
-class _Suite:
-    """One run of the theorem suite; collects per-cell results in a fixed order."""
-
-    def __init__(self, max_weight: int, max_j: int):
-        self.max_weight = max_weight
-        self.max_j = max_j
-        self.report = VerificationReport(max_weight, max_j)
-
-    def check(self, name, n, j, min_weight, fn, arg):
-        """Record the cell ``(name, n, j)``: skipped below ``min_weight``, else ``fn(arg)``."""
-        if n < min_weight:
-            status, failure = "skip", (None, f"needs weight at least {min_weight}")
-        else:
-            try:
-                failure = fn(arg)
-            except Exception as exc:  # a crashing check is a failed cell, not an aborted run
-                failure = None, f"raised {type(exc).__name__}: {exc}"
-            status = "pass" if failure is None else "fail"
-        self.report.results.append(CheckResult(name, n, j, status, *(failure or ())))
-
-    def run(self):
-        series = {j: odd_mex_series(j, self.max_weight) for j in range(self.max_j + 1)}
-        table = crank_table(self.max_weight)
-        asymmetric = {}  # weight -> its smallest m with count(m, n) != count(-m, n)
-        for m, n in table.symmetry_failures():
-            asymmetric.setdefault(n, m)
-
-        for n in range(self.max_weight + 1):
-            # classified once per weight; each (n, j) cell reads it in one loop
-            classified = [(lam, lam.crank(), *_class_masks(lam)) for lam in partitions_of(n)]
-            weight = _Weight(n, classified, table, asymmetric.get(n))
-            for name, min_weight, fn in _WEIGHT_CHECKS:
-                self.check(name, n, None, min_weight, fn, weight)
-            for j in range(self.max_j + 1):
-                cell = _Cell(j, classified, series[j][n], _classes(classified, j))
-                for name, min_weight, fn in _CELL_CHECKS:
-                    self.check(name, n, j, min_weight, fn, cell)
+def _run_check(name, n, j, min_weight, fn, arg) -> CheckResult:
+    """The cell ``(name, n, j)``: skipped below ``min_weight``, else ``fn(arg)``."""
+    if n < min_weight:
+        status, failure = "skip", (None, f"needs weight at least {min_weight}")
+    else:
+        try:
+            failure = fn(arg)
+        except Exception as exc:  # a crashing check is a failed cell, not an aborted run
+            failure = None, f"raised {type(exc).__name__}: {exc}"
+        status = "pass" if failure is None else "fail"
+    return CheckResult(name, n, j, status, *(failure or ()))
 
 
 def _class_masks(lam: Partition) -> tuple[int, int]:
@@ -431,6 +414,19 @@ def run_theorem_suite(max_weight: int = 25, max_j: int = 12) -> VerificationRepo
     _check_nonnegative("max_j", max_j)
     if max_weight > ENUMERATION_LIMIT:
         raise DomainError(f"max_weight is capped at {ENUMERATION_LIMIT}")
-    suite = _Suite(max_weight, max_j)
-    suite.run()
-    return suite.report
+    report = VerificationReport(max_weight, max_j)
+    results = report.results
+    series = {j: odd_mex_series(j, max_weight) for j in range(max_j + 1)}
+    counts = partition_series(max_weight)
+    for n in range(max_weight + 1):
+        # classified once per weight; its crank row and each (n, j) cell read it
+        classified = [(lam, lam.crank(), *_class_masks(lam)) for lam in partitions_of(n)]
+        row = _crank_row(n, (crank for _, crank, _, _ in classified))
+        weight = _Weight(n, classified, row, counts[n])
+        for name, min_weight, fn in _WEIGHT_CHECKS:
+            results.append(_run_check(name, n, None, min_weight, fn, weight))
+        for j in range(max_j + 1):
+            cell = _Cell(j, classified, series[j][n], _classes(classified, j))
+            for name, min_weight, fn in _CELL_CHECKS:
+                results.append(_run_check(name, n, j, min_weight, fn, cell))
+    return report

@@ -42,6 +42,112 @@ def test_stats_records(capsys):
     assert record["by_j"][0]["mex"] == 1
 
 
+# Exact text of each subcommand the golden files do not pin; each value is
+# the command's whole stdout, one string per line.
+EXACT_TEXT = {
+    ("stats", "11,8,7,7,5,5,4,3,2,2", "--max-j", "3"): (
+        "partition 11,8,7,7,5,5,4,3,2,2",
+        "weight 54",
+        "length 10",
+        "ones 0",
+        "parts-above-ones 10",
+        "crank 11",
+        "conjugate 10,10,8,7,6,4,4,2,1,1,1",
+        "durfee-size 5",
+        "durfee-arms 10,6,4,3,0",
+        "durfee-legs 9,8,5,3,1",
+        "j  mex  d  odd-mex  arm-free  has-part",
+        "0  1    5  yes      no        yes",
+        "1  6    4  yes      yes       no",
+        "2  6    4  no       yes       yes",
+        "3  6    4  yes      no        yes",
+    ),
+    ("stats", "", "--max-j", "3"): (
+        "partition (empty)",
+        "weight 0",
+        "length 0",
+        "ones 0",
+        "parts-above-ones 0",
+        "crank 0",
+        "conjugate (empty)",
+        "durfee-size 0",
+        "durfee-arms (empty)",
+        "durfee-legs (empty)",
+        "j  mex  d  odd-mex  arm-free  has-part",
+        "0  1    0  yes      yes       yes",
+        "1  2    0  yes      yes       no",
+        "2  3    0  yes      yes       no",
+        "3  4    0  yes      yes       no",
+    ),
+    ("map", "fold", "11,8,7,7,5,5,4,3,2,2", "--j", "1"): (
+        "map fold j=1",
+        "input 11,8,7,7,5,5,4,3,2,2  crank 11",
+        "output 11,8,8,6,5,4,4,4,2,2  crank 11",
+    ),
+    ("map", "to-low-crank", "11,8,7,7,5,5,4,3,2,2", "--j", "5"): (
+        "map to-low-crank j=5",
+        "input 11,8,7,7,5,5,4,3,2,2  crank 11",
+        "output 10,7,7,7,5,4,3,2,2,1,1,1,1,1,1,1  crank -6",
+    ),
+    ("map", "negate-crank", "2,1,1"): (
+        "map negate-crank j=0",
+        "input 2,1,1  crank -2",
+        "output 2,2  crank 2",
+    ),
+    ("trace", "unfold", "13,10,9,9,4,3,2,2,1,1", "--j", "0"): (
+        "unfold trace: j=0, input 13,10,9,9,4,3,2,2,1,1",
+        "step  k  partition              d  case  result",
+        "1     0  13,10,9,9,4,3,2,2,1,1  4  (2)   12,9,8,8,5,4,3,2,2,1",
+        "2     0  12,9,8,8,5,4,3,2,2,1   4  (2)   11,8,7,7,5,5,4,3,2,2",
+        "stop  0  11,8,7,7,5,5,4,3,2,2   4  -     -",
+        "output pair: k=0, partition 11,8,7,7,5,5,4,3,2,2",
+    ),
+    # the stop row's d is taken at top + 1 on an unfold, here with k = 1
+    ("trace", "unfold-complement", "11,8,8,6,5,4,4,4,2,2", "--j", "2"): (
+        "unfold-complement trace: j=2, input 11,8,8,6,5,4,4,4,2,2",
+        "step  k  partition           d  case  result",
+        "1     0  12,9,9,5,4,4,4,2,2  3  (2)   11,8,8,7,5,4,4,2,2",
+        "2     0  11,8,8,7,5,4,4,2,2  3  (2)   10,7,7,7,7,5,4,2,2",
+        "3     0  10,7,7,7,7,5,4,2,2  3  (1)   11,8,7,7,5,2,2",
+        "stop  1  11,8,7,7,5,2,2      2  -     -",
+        "output pair: k=1, partition 11,8,7,7,5,5,4,3,2,2",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(EXACT_TEXT), ids=" ".join)
+def test_text_output_is_exact(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "".join(line + "\n" for line in EXACT_TEXT[argv])
+
+
+def test_stats_records_are_exact(capsys):
+    code, out, _ = run_cli(capsys, "stats", "5,3,2,2", "--max-j", "2", "--format", "records")
+    assert code == 0
+    assert json.loads(out) == {
+        "partition": "5,3,2,2",
+        "weight": 12,
+        "length": 4,
+        "ones": 0,
+        "parts_above_ones": 4,
+        "crank": 5,
+        "conjugate": "4,4,2,1,1",
+        "durfee_size": 2,
+        "durfee_arms": [4, 1],
+        "durfee_legs": [3, 2],
+        "by_j": [
+            {"j": 0, "mex": 1, "durfee_size": 2, "odd_mex": True, "arm_free": True,
+             "has_part": True},
+            {"j": 1, "mex": 4, "durfee_size": 2, "odd_mex": True, "arm_free": False,
+             "has_part": False},
+            {"j": 2, "mex": 4, "durfee_size": 1, "odd_mex": False, "arm_free": True,
+             "has_part": True},
+        ],
+    }
+    assert out.count("\n") == 1
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "stats", "2,3")
     assert code == 1

@@ -6,7 +6,6 @@ import crankmex.maps
 from crankmex import verify
 from crankmex import (
     CheckResult,
-    CrankTable,
     DomainError,
     Partition,
     VerificationReport,
@@ -42,6 +41,13 @@ def test_enumeration_limit():
         next(partitions_of(61))
     with pytest.raises(DomainError):
         next(partitions_of(-1))
+    # a bool or a non-int weight is rejected, never read as 1 or left to a TypeError
+    for n in (True, "3", 2.5):
+        with pytest.raises(DomainError, match="n must be a non-negative integer"):
+            next(partitions_of(n))
+    for max_weight in (-1, True, 2.5):
+        with pytest.raises(DomainError, match="max_weight must be a non-negative integer"):
+            crank_table(max_weight)
 
 
 def test_partition_series_prefix():
@@ -223,6 +229,13 @@ def test_series_reject_negative_arguments():
         partition_series(-1)
     with pytest.raises(DomainError):
         odd_mex_series(-1, 5)
+    # a bool or a non-int bound is rejected, never read as 1 or left to a TypeError
+    for order in (True, 2.5):
+        with pytest.raises(DomainError, match="order must be a non-negative integer"):
+            partition_series(order)
+    for j, order in ((True, 5), (1.5, 5), (1, 2.5)):
+        with pytest.raises(DomainError, match="must be a non-negative integer"):
+            odd_mex_series(j, order)
 
 
 def test_suite_records_a_crashing_check_as_a_failed_cell(monkeypatch):
@@ -256,10 +269,15 @@ def test_suite_records_a_crashing_check_as_a_failed_cell(monkeypatch):
 
 def test_suite_table_checks_fail_closed(monkeypatch):
     expected = run_theorem_suite(8, 1).results
-    table = crank_table(8)
-    counts = dict(table._counts)
-    counts[(2, 5)] = table.count(2, 5) + 1  # breaks symmetry and row sum at weight 5 only
-    monkeypatch.setattr(verify, "crank_table", lambda max_weight: CrankTable(max_weight, counts))
+    crank_row = verify._crank_row
+
+    def crank_row_off_at_five(n, cranks):
+        row = crank_row(n, cranks)
+        if n == 5:
+            row[2] = row.get(2, 0) + 1  # breaks symmetry and row sum at weight 5 only
+        return row
+
+    monkeypatch.setattr(verify, "_crank_row", crank_row_off_at_five)
     report = run_theorem_suite(8, 1)
     failed = {(r.name, r.n, r.j): r.note for r in report.failures}
     assert failed == {
@@ -271,3 +289,20 @@ def test_suite_table_checks_fail_closed(monkeypatch):
         if (got.name, got.n, got.j) not in failed:
             assert got == want
             assert got.status in ("pass", "skip")
+
+
+@pytest.mark.parametrize("lost, m", [((5,), 5), ((2, 2, 1), 1)])
+def test_suite_row_sum_is_checked_against_the_partition_series(monkeypatch, lost, m):
+    # an enumeration that loses one partition of 5 shrinks the crank row with
+    # it; the row sum still fails, because p(5) comes from partition_series
+    enumerate_partitions = verify.partitions_of
+
+    def without_lost(n, **kwargs):
+        return (lam for lam in enumerate_partitions(n, **kwargs) if lam.parts != lost)
+
+    monkeypatch.setattr(verify, "partitions_of", without_lost)
+    report = run_theorem_suite(6, 0)
+    failed = {(r.name, r.n, r.j): r.note for r in report.failures}
+    assert failed[("crank-row-sum", 5, None)] == "row sum 6 != p(5) = 7"
+    assert failed[("crank-symmetry", 5, None)] == f"count({m},5) != count({-m},5)"
+    assert {n for _, n, _ in failed} == {5}
