@@ -6,7 +6,7 @@ All series arithmetic is exact integer arithmetic; enumeration order is fixed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple
 
 from .core import DomainError, Partition, _check_nonnegative, _durfee_size
@@ -36,11 +36,14 @@ def _raw_partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def partitions_of(n: int, *, limit: int = ENUMERATION_LIMIT) -> Iterator[Partition]:
-    """Yield every partition of ``n`` once, in lexicographically decreasing order."""
+def partitions_of(n: int) -> Iterator[Partition]:
+    """Yield every partition of ``n`` once, in lexicographically decreasing order.
+
+    A weight above ``ENUMERATION_LIMIT`` raises :class:`DomainError`.
+    """
     _check_nonnegative("n", n)
-    if n > limit:
-        raise DomainError(f"enumeration limit is {limit}, got weight {n}")
+    if n > ENUMERATION_LIMIT:
+        raise DomainError(f"enumeration limit is {ENUMERATION_LIMIT}, got weight {n}")
     for raw in _raw_partitions(n, n):
         yield Partition(raw)
 
@@ -91,12 +94,12 @@ def _crank_row(n: int, cranks) -> dict[int, int]:
     return row
 
 
-def crank_table(max_weight: int, *, limit: int = ENUMERATION_LIMIT) -> CrankTable:
+def crank_table(max_weight: int) -> CrankTable:
     """Tabulate crank counts for all weights up to ``max_weight``."""
     _check_nonnegative("max_weight", max_weight)
     counts: dict[tuple[int, int], int] = {}
     for n in range(max_weight + 1):
-        row = _crank_row(n, (lam.crank() for lam in partitions_of(n, limit=limit)))
+        row = _crank_row(n, (lam.crank() for lam in partitions_of(n)))
         counts.update(((m, n), count) for m, count in row.items())
     return CrankTable(max_weight, counts)
 
@@ -149,14 +152,7 @@ class CheckResult:
     note: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "j": self.j,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass

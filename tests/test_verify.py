@@ -117,58 +117,106 @@ def test_crank_table_symmetry():
     assert crank_table(14).symmetry_failures() == []
 
 
-def test_crank_table_matches_andrews_garvan_generating_function():
-    # sum_n M(m, n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^(k-1) q^(k(k-1)/2 + k|m|) (1 - q^k)
-    # (Andrews and Garvan, Bull. AMS 18, 1988), expanded with exact integers
-    # up to q^30 without any crankmex code.
-    order = 30
-    p = [1] + [0] * order  # 1/(q)_inf: partition counts by the part-size recurrence
-    for part in range(1, order + 1):
-        for n in range(part, order + 1):
-            p[n] += p[n - part]
-    table = crank_table(order)
-    for m in range(-order - 1, order + 2):
-        sparse = [0] * (order + 1)
+def _over_euler(coeffs):
+    """``coeffs`` times ``1/(q)_inf``, in place: one factor ``1/(1 - q^part)`` at a time."""
+    for part in range(1, len(coeffs)):
+        for n in range(part, len(coeffs)):
+            coeffs[n] += coeffs[n - part]
+    return coeffs
+
+
+def _crank_counts(ms, order):
+    """Coefficients 0..order of ``sum_n (sum over m in ms of M(m, n)) q^n``.
+
+    From the Andrews-Garvan generating function (Bull. AMS 18, 1988)
+    ``sum_n M(m, n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^(k-1) q^(k(k-1)/2 + k|m|) (1 - q^k)``,
+    expanded with exact integers without any crankmex code.  At weight 1 it
+    gives the convention ``M(0, 1) = -1``, ``M(1, 1) = M(-1, 1) = 1``.
+    """
+    sparse = [0] * (order + 1)
+    for m in ms:
         k = 1
-        while k * (k - 1) // 2 + k * abs(m) <= order:
-            exponent = k * (k - 1) // 2 + k * abs(m)
+        while (exponent := k * (k - 1) // 2 + k * abs(m)) <= order:
             sign = 1 if k % 2 else -1
             sparse[exponent] += sign
             if exponent + k <= order:
                 sparse[exponent + k] -= sign
             k += 1
+    return _over_euler(sparse)
+
+
+def _odd_mex_with_part_counts(j, order):
+    """Coefficients 0..order of the partitions with a part ``j`` and odd mex offset at ``j``.
+
+    Such a partition holds the parts ``j, j+1, ..., j+r`` for an even ``r`` and
+    not ``j+r+1``: ``sum_{r even} q^(j+...+(j+r)) (1 - q^(j+r+1)) / (q)_inf``
+    (``j = 0`` counts 0 as a part of everything).  No crankmex code.
+    """
+    sparse = [0] * (order + 1)
+    r = 0
+    while (exponent := (r + 1) * j + r * (r + 1) // 2) <= order:
+        sparse[exponent] += 1
+        if exponent + j + r + 1 <= order:
+            sparse[exponent + j + r + 1] -= 1
+        r += 2
+    return _over_euler(sparse)
+
+
+def test_crank_table_matches_andrews_garvan_generating_function():
+    order = 30
+    table = crank_table(order)
+    for m in range(-order - 1, order + 2):
+        counts = _crank_counts([m], order)
         for n in range(order + 1):
-            coefficient = sum(sparse[e] * p[n - e] for e in range(n + 1))
-            assert table.count(m, n) == coefficient, (m, n)
+            assert table.count(m, n) == counts[n], (m, n)
     assert [table.count(m, 1) for m in (-1, 0, 1)] == [1, -1, 1]
 
 
 def test_nonnegative_crank_counts_equal_odd_mex_counts():
     # The j = 0 identity (Andrews and Newman, Ann. Comb. 23, 2019): the
-    # partitions of n with crank >= 0 are as many as those with odd mex.  The
-    # left side is sum_{m>=0} M(m, n) from the Andrews-Garvan generating
-    # function above, expanded with exact integers without any crankmex code.
+    # partitions of n with crank >= 0 are as many as those with odd mex.
     order = 80
-    p = [1] + [0] * order
-    for part in range(1, order + 1):
-        for n in range(part, order + 1):
-            p[n] += p[n - part]
-    sparse = [0] * (order + 1)  # sum over m >= 0 of the sparse factor for m
-    for m in range(order + 1):
-        k = 1
-        while k * (k - 1) // 2 + k * m <= order:
-            exponent = k * (k - 1) // 2 + k * m
-            sign = 1 if k % 2 else -1
-            sparse[exponent] += sign
-            if exponent + k <= order:
-                sparse[exponent + k] -= sign
-            k += 1
-    nonnegative = [sum(sparse[e] * p[n - e] for e in range(n + 1)) for n in range(order + 1)]
+    nonnegative = _crank_counts(range(order + 1), order)
     assert nonnegative == odd_mex_series(0, order)
     for n in range(21):
         assert nonnegative[n] == sum(1 for lam in partitions_of(n) if lam.has_odd_mex(0)), n
     # weight 1: M(0, 1) = -1 and M(1, 1) = 1 by convention, against no odd-mex partition
     assert nonnegative[1] == 0
+
+
+def test_every_suite_class_matches_a_series():
+    # each of the eight classes the suite's (n, j) cells compare, counted
+    # against a generating function; low crank (crank <= -j) has the same
+    # series as high crank (crank >= j), since M(m, n) = M(-m, n)
+    max_weight, max_j = 25, 12
+    p = _over_euler([1] + [0] * max_weight)
+    classified = {
+        n: [(lam, lam.crank(), *verify._class_masks(lam)) for lam in partitions_of(n)]
+        for n in range(2, max_weight + 1)
+    }
+    for j in range(max_j + 1):
+        odd = odd_mex_series(j, max_weight)
+        with_part = _odd_mex_with_part_counts(j, max_weight)
+        high = _crank_counts(range(j, max_weight + 1), max_weight)
+        even = [pn - x for pn, x in zip(p, odd)]
+        expected = dict(
+            odd_mex=odd, arm_free=odd, even_mex=even, arm_bearing=even,
+            odd_mex_with_part=with_part, arm_free_with_part=with_part,
+            high_crank=high, low_crank=high,
+        )
+        for n, cell in classified.items():
+            classes = verify._classes(cell, j)
+            assert classes.keys() == expected.keys()
+            for name, members in classes.items():
+                assert len(members) == expected[name][n], (name, n, j)
+
+
+def test_odd_mex_with_part_series_equals_high_crank_series():
+    # the theorem as an identity of generating functions, far past enumeration
+    order = 300
+    for j in range(13):
+        with_part = _odd_mex_with_part_counts(j, order)
+        assert with_part[2:] == _crank_counts(range(j, order + 1), order)[2:], j
 
 
 # -- the suite -------------------------------------------------------------------
@@ -289,6 +337,49 @@ def test_suite_table_checks_fail_closed(monkeypatch):
         if (got.name, got.n, got.j) not in failed:
             assert got == want
             assert got.status in ("pass", "skip")
+    assert verify.crank_table(8).symmetry_failures() == [(2, 5)]
+
+
+_SWAPPED = {(4, 2, 1): Partition((3, 3, 1)), (3, 3, 1): Partition((4, 2, 1))}  # both crank 1
+
+
+def _one_part(j, lam):
+    return Partition((lam.weight,) if lam.weight else ()), None
+
+
+# (module, name, replacement built from the original, failing cell, counterexample, note)
+_BROKEN = [
+    ("maps", "negate_crank", lambda f: lambda lam: Partition(f(lam).parts + (1,)),
+     ("crank-negation", 2, None), "2", "weight not preserved"),
+    ("maps", "negate_crank", lambda f: lambda lam: lam,
+     ("crank-negation", 2, None), "2", "crank not negated"),
+    ("maps", "negate_crank", lambda f: lambda lam: f(_SWAPPED.get(lam.parts, lam)),
+     ("crank-negation", 7, None), "5,1,1", "not an involution"),
+    ("verify", "_durfee_size", lambda f: lambda parts, j: f(parts, j) + (parts == (3, 1)),
+     ("low-crank-criterion", 4, 0), "3,1", "crank/ones criterion mismatch"),
+    ("maps", "to_low_crank", lambda f: lambda j, lam: Partition(f(j, lam).parts + (1,)),
+     ("bijection-low-crank", 2, 0), "2", "weight not preserved"),
+    ("maps", "fold", lambda f: _one_part,
+     ("bijection-fold", 2, 1), "1,1", "conserved quantity broken"),
+    ("maps", "fold", lambda f: _one_part,
+     ("bijection-fold", 3, 0), None, "forward map is not injective"),
+    ("maps", "unfold_complement", lambda f: lambda j, lam: (lam, None),
+     ("bijection-fold-complement", 4, 0), "2,2", "backward map does not invert the forward map"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, cell, counterexample, note", _BROKEN,
+    ids=[f"{cell[0]}: {note}" for _, _, _, cell, _, note in _BROKEN],
+)
+def test_suite_reports_each_broken_invariant(monkeypatch, module, name, broken, cell, counterexample, note):
+    # each note a check can write, reached by breaking the one invariant it guards
+    owner = {"maps": crankmex.maps, "verify": verify}[module]
+    monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
+    _, n, j = cell
+    report = run_theorem_suite(n, j or 0)
+    got = {(r.name, r.n, r.j): r for r in report.results}[cell]
+    assert (got.status, got.counterexample, got.note) == ("fail", counterexample, note)
 
 
 @pytest.mark.parametrize("lost, m", [((5,), 5), ((2, 2, 1), 1)])
@@ -297,8 +388,8 @@ def test_suite_row_sum_is_checked_against_the_partition_series(monkeypatch, lost
     # it; the row sum still fails, because p(5) comes from partition_series
     enumerate_partitions = verify.partitions_of
 
-    def without_lost(n, **kwargs):
-        return (lam for lam in enumerate_partitions(n, **kwargs) if lam.parts != lost)
+    def without_lost(n):
+        return (lam for lam in enumerate_partitions(n) if lam.parts != lost)
 
     monkeypatch.setattr(verify, "partitions_of", without_lost)
     report = run_theorem_suite(6, 0)
