@@ -110,10 +110,12 @@ def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
     """
     cols: list[int] = []
     below = 0
-    for i, p in zip(range(len(parts), 0, -1), reversed(parts)):
+    i = len(parts)
+    for p in reversed(parts):
         if p > below:
             cols.extend([i] * (p - below))
             below = p
+        i -= 1
     return cols
 
 
@@ -275,7 +277,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram; an involution preserving weight."""
-        return Partition(_conjugate_parts(self._parts))
+        return _ordered(_conjugate_parts(self._parts))
 
     def durfee_triple(self) -> "DurfeeTriple":
         """Durfee decomposition ``(size, arms, legs)``.
@@ -308,6 +310,31 @@ def _sealed(buf: list) -> Partition:
         raise PartitionError(f"parts do not sum to an integer: {total!r}")
     if total > MAX_WEIGHT:
         raise _too_heavy(total)
+    lam = object.__new__(Partition)
+    lam._parts = tuple(buf)
+    lam._weight = total
+    return lam
+
+
+def _ordered(buf: list) -> Partition:
+    """Partition of the parts in ``buf``, which must already be non-increasing.
+
+    For outputs whose order comes from arithmetic, such as a conjugate, where
+    a misordered buffer can only mean a bug.  Unlike :func:`_sealed` this
+    never sorts: it checks the order, a positive smallest part, an exact
+    ``int`` weight and the weight cap with ``sum`` and ``sorted``, which run
+    in C, instead of the public constructor's Python loop over the parts.  On
+    any failure the buffer goes to ``Partition(buf)``, which raises its exact
+    message.
+    """
+    total = sum(buf)
+    if (
+        type(total) is not int
+        or total > MAX_WEIGHT
+        or (buf and buf[-1] < 1)
+        or buf != sorted(buf, reverse=True)
+    ):
+        return Partition(buf)
     lam = object.__new__(Partition)
     lam._parts = tuple(buf)
     lam._weight = total

@@ -40,6 +40,8 @@ a :class:`StepResult`; the iterated maps loop on the move itself and build a
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import neg
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -52,6 +54,7 @@ from .core import (
     _has_arm,
     _mex_join,
     _mex_split,
+    _ordered,
     _sealed,
 )
 
@@ -326,7 +329,7 @@ def _iterate(
         lam = _sealed(buf)
         if steps is not None:
             after = tuple.__new__(PairState, (j, k, lam, odd))
-            steps.append(TraceStep(direction, case, d, cur, after))
+            steps.append(tuple.__new__(TraceStep, (direction, case, d, cur, after)))
             cur = after
         taken += 1
         if taken > cap:
@@ -522,22 +525,26 @@ def negate_crank(lam: Partition) -> Partition:
     * ``w > 0, t > 0``: rebuild from the conjugate, splitting its first column
       at ``r = max(w, part(2) - 1)`` and appending ``t`` trailing 1s.
     """
-    if lam.weight <= 1:
+    if lam._weight <= 1:
         raise DomainError("defined only for partitions of weight at least 2")
-    parts = lam.parts
+    parts = lam._parts
     ones = parts.count(1)
     if ones == 0:
-        return Partition(parts[1:] + (1,) * parts[0])
-    tall = lam.count_above(ones)
+        buf = list(parts[1:])
+        buf.extend([1] * parts[0])
+        return _ordered(buf)
+    tall = bisect_left(parts, -ones, key=neg)  # parts greater than ones
     if tall == 0:
-        return Partition((ones,) + parts[: len(parts) - ones])
+        buf = [ones]
+        buf.extend(parts[: len(parts) - ones])
+        return _ordered(buf)
     r = max(ones, parts[1] - 1)
     conj = _conjugate_parts(parts)
     buf = [conj[1] + parts[0] - r]
     buf.extend([c + 1 for c in conj[1:ones]])
     buf.extend(conj[ones + 1 : r + 1])
     buf.extend([1] * tall)
-    return Partition(buf)
+    return _ordered(buf)
 
 
 def mex_to_crank(j: int, lam: Partition) -> Partition:

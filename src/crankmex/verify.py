@@ -95,8 +95,14 @@ def _crank_row(n: int, cranks) -> dict[int, int]:
 
 
 def crank_table(max_weight: int) -> CrankTable:
-    """Tabulate crank counts for all weights up to ``max_weight``."""
+    """Tabulate crank counts for all weights up to ``max_weight``.
+
+    A ``max_weight`` above ``ENUMERATION_LIMIT`` raises :class:`DomainError`
+    before anything is enumerated.
+    """
     _check_nonnegative("max_weight", max_weight)
+    if max_weight > ENUMERATION_LIMIT:
+        raise DomainError(f"max_weight is capped at {ENUMERATION_LIMIT}")
     counts: dict[tuple[int, int], int] = {}
     for n in range(max_weight + 1):
         row = _crank_row(n, (lam.crank() for lam in partitions_of(n)))

@@ -50,6 +50,19 @@ def test_enumeration_limit():
             crank_table(max_weight)
 
 
+def test_crank_table_rejects_a_weight_above_the_limit_before_enumerating(monkeypatch):
+    with pytest.raises(DomainError) as suite_error:
+        run_theorem_suite(verify.ENUMERATION_LIMIT + 1, 0)
+
+    def refuse(n):
+        raise AssertionError(f"partitions_of({n}) called")
+
+    monkeypatch.setattr(verify, "partitions_of", refuse)
+    with pytest.raises(DomainError) as table_error:
+        crank_table(verify.ENUMERATION_LIMIT + 1)
+    assert str(table_error.value) == str(suite_error.value)
+
+
 def test_partition_series_prefix():
     assert partition_series(5) == [1, 1, 2, 3, 5, 7]
     assert partition_series(0) == [1]
