@@ -8,7 +8,7 @@ be shared freely between concurrent workers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import neg
+from operator import countOf, neg
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -26,6 +26,10 @@ __all__ = [
 # Everything in this package runs at desk scale; the cap only guards against
 # absurd inputs reaching the O(weight) routines.
 MAX_WEIGHT = 10**6
+
+# Up to this many parts one Python pass checks a sequence faster than the C
+# calls of Partition.__init__ (the crossover measured on CPython 3.11).
+_SHORT_PARTS = 24
 
 
 class PartitionError(ValueError):
@@ -110,12 +114,10 @@ def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
     """
     cols: list[int] = []
     below = 0
-    i = len(parts)
-    for p in reversed(parts):
+    for i, p in zip(range(len(parts), 0, -1), reversed(parts)):
         if p > below:
             cols.extend([i] * (p - below))
             below = p
-        i -= 1
     return cols
 
 
@@ -135,17 +137,28 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         seq = tuple(parts)
-        # One tight pass accepts the common case: exact ints, positive and
-        # non-increasing.  Anything else is handed to _checked_weight, which
+        # The common case is exact ints, positive and non-increasing.  A long
+        # sequence is accepted by checks that all run in C, a short one by one
+        # tight pass.  Anything else is handed to _checked_weight, which
         # accepts int subclasses and raises the exact message for a bad part.
-        total = 0
-        prev = seq[0] if seq else 0
-        for value in seq:
-            if type(value) is not int or not 1 <= value <= prev:
+        if len(seq) > _SHORT_PARTS:
+            if (
+                countOf(map(type, seq), int) == len(seq)
+                and seq[-1] >= 1
+                and list(seq) == sorted(seq, reverse=True)
+            ):
+                total = sum(seq)
+            else:
                 total = _checked_weight(seq)
-                break
-            prev = value
-            total += value
+        else:
+            total = 0
+            prev = seq[0] if seq else 0
+            for value in seq:
+                if type(value) is not int or not 1 <= value <= prev:
+                    total = _checked_weight(seq)
+                    break
+                prev = value
+                total += value
         if total > MAX_WEIGHT:
             raise _too_heavy(total)
         self._parts = seq
@@ -277,7 +290,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram; an involution preserving weight."""
-        return _ordered(_conjugate_parts(self._parts))
+        return Partition(_conjugate_parts(self._parts))
 
     def durfee_triple(self) -> "DurfeeTriple":
         """Durfee decomposition ``(size, arms, legs)``.
@@ -310,31 +323,6 @@ def _sealed(buf: list) -> Partition:
         raise PartitionError(f"parts do not sum to an integer: {total!r}")
     if total > MAX_WEIGHT:
         raise _too_heavy(total)
-    lam = object.__new__(Partition)
-    lam._parts = tuple(buf)
-    lam._weight = total
-    return lam
-
-
-def _ordered(buf: list) -> Partition:
-    """Partition of the parts in ``buf``, which must already be non-increasing.
-
-    For outputs whose order comes from arithmetic, such as a conjugate, where
-    a misordered buffer can only mean a bug.  Unlike :func:`_sealed` this
-    never sorts: it checks the order, a positive smallest part, an exact
-    ``int`` weight and the weight cap with ``sum`` and ``sorted``, which run
-    in C, instead of the public constructor's Python loop over the parts.  On
-    any failure the buffer goes to ``Partition(buf)``, which raises its exact
-    message.
-    """
-    total = sum(buf)
-    if (
-        type(total) is not int
-        or total > MAX_WEIGHT
-        or (buf and buf[-1] < 1)
-        or buf != sorted(buf, reverse=True)
-    ):
-        return Partition(buf)
     lam = object.__new__(Partition)
     lam._parts = tuple(buf)
     lam._weight = total

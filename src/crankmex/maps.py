@@ -40,8 +40,6 @@ a :class:`StepResult`; the iterated maps loop on the move itself and build a
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import neg
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -54,7 +52,6 @@ from .core import (
     _has_arm,
     _mex_join,
     _mex_split,
-    _ordered,
     _sealed,
 )
 
@@ -530,21 +527,17 @@ def negate_crank(lam: Partition) -> Partition:
     parts = lam._parts
     ones = parts.count(1)
     if ones == 0:
-        buf = list(parts[1:])
-        buf.extend([1] * parts[0])
-        return _ordered(buf)
-    tall = bisect_left(parts, -ones, key=neg)  # parts greater than ones
+        return Partition(parts[1:] + (1,) * parts[0])
+    tall = lam.count_above(ones)
     if tall == 0:
-        buf = [ones]
-        buf.extend(parts[: len(parts) - ones])
-        return _ordered(buf)
+        return Partition((ones,) + parts[: len(parts) - ones])
     r = max(ones, parts[1] - 1)
-    conj = _conjugate_parts(parts)
+    conj = _conjugate_parts(parts[: len(parts) - ones])  # the 1s add only to conj[0]
     buf = [conj[1] + parts[0] - r]
     buf.extend([c + 1 for c in conj[1:ones]])
     buf.extend(conj[ones + 1 : r + 1])
     buf.extend([1] * tall)
-    return _ordered(buf)
+    return Partition(buf)
 
 
 def mex_to_crank(j: int, lam: Partition) -> Partition:

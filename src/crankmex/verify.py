@@ -36,6 +36,13 @@ def _raw_partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+def _check_max_weight(max_weight: int) -> None:
+    """Reject a ``max_weight`` bound before anything is enumerated."""
+    _check_nonnegative("max_weight", max_weight)
+    if max_weight > ENUMERATION_LIMIT:
+        raise DomainError(f"max_weight is capped at {ENUMERATION_LIMIT}")
+
+
 def partitions_of(n: int) -> Iterator[Partition]:
     """Yield every partition of ``n`` once, in lexicographically decreasing order.
 
@@ -100,9 +107,7 @@ def crank_table(max_weight: int) -> CrankTable:
     A ``max_weight`` above ``ENUMERATION_LIMIT`` raises :class:`DomainError`
     before anything is enumerated.
     """
-    _check_nonnegative("max_weight", max_weight)
-    if max_weight > ENUMERATION_LIMIT:
-        raise DomainError(f"max_weight is capped at {ENUMERATION_LIMIT}")
+    _check_max_weight(max_weight)
     counts: dict[tuple[int, int], int] = {}
     for n in range(max_weight + 1):
         row = _crank_row(n, (lam.crank() for lam in partitions_of(n)))
@@ -412,10 +417,8 @@ def run_theorem_suite(max_weight: int = 25, max_j: int = 12) -> VerificationRepo
     included), or a ``max_weight`` above ``ENUMERATION_LIMIT``, raises
     :class:`DomainError`.
     """
-    _check_nonnegative("max_weight", max_weight)
+    _check_max_weight(max_weight)
     _check_nonnegative("max_j", max_j)
-    if max_weight > ENUMERATION_LIMIT:
-        raise DomainError(f"max_weight is capped at {ENUMERATION_LIMIT}")
     report = VerificationReport(max_weight, max_j)
     results = report.results
     series = {j: odd_mex_series(j, max_weight) for j in range(max_j + 1)}

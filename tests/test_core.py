@@ -1,4 +1,6 @@
 
+import random
+
 import pytest
 
 from crankmex import (
@@ -10,7 +12,7 @@ from crankmex import (
     mex_join,
     mex_split,
 )
-from crankmex.core import _check_nonnegative
+from crankmex.core import _check_nonnegative, _checked_weight
 
 
 def P(text):
@@ -68,6 +70,49 @@ def test_rejection_messages(parts, message):
     with pytest.raises(PartitionError) as info:
         Partition(parts)
     assert str(info.value) == message
+
+
+def test_long_rejection_messages_name_the_first_bad_part():
+    long = (9,) * 40 + (5,) * 40 + (1,) * 40
+    assert Partition(long).weight == sum(long)
+    cases = [
+        (long[:60] + (6,) + long[61:], "parts must be non-increasing: part #61 (6) exceeds part #60 (5)"),
+        (long[:90] + (0,) + long[91:], "part #91 must be positive, got 0"),
+        (long[:119] + (1.0,), "part #120 is not an integer: 1.0"),
+        (long[:30] + (True,) + long[31:], "part #31 is not an integer: True"),
+    ]
+    for parts, message in cases:
+        with pytest.raises(PartitionError) as info:
+            Partition(parts)
+        assert str(info.value) == message
+
+
+def test_constructor_agrees_with_the_part_by_part_check():
+    # the constructor accepts a long sequence through checks that run in C and
+    # a short one in a Python pass, falling back to _checked_weight on any
+    # failure; both paths must accept and reject alike
+    class Count(int):
+        pass
+
+    rng = random.Random(11)
+    values = (1, 1, 2, 2, 3, 5, 8, 13)
+    odd = (-1, 0, True, 2.0, Count(2))
+    for _ in range(3000):
+        seq = [rng.choice(values) for _ in range(rng.randint(0, 60))]
+        if seq and rng.random() < 0.3:
+            seq[rng.randrange(len(seq))] = rng.choice(odd)
+        if rng.random() < 0.6:
+            seq.sort(reverse=True)
+        seq = tuple(seq)
+        try:
+            expected = _checked_weight(seq)
+        except PartitionError as exc:
+            with pytest.raises(PartitionError) as info:
+                Partition(seq)
+            assert str(info.value) == str(exc)
+        else:
+            lam = Partition(seq)
+            assert lam.parts == seq and lam.weight == expected
 
 
 def test_accepts_int_subclass_parts():
