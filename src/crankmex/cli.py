@@ -4,8 +4,8 @@ Partitions are passed as comma-separated parts in non-increasing order; the
 empty string denotes the empty partition.  Each command builds its records
 once: ``--format records`` prints them as JSON lines, ``--output`` writes them,
 and the aligned text is rendered from them.  Exit codes: 0 success / all
-checks pass, 1 domain or parse error, 2 verification failure, 3 internal error
-(any other exception, which is a bug).
+checks pass, 1 domain or parse error or an unwritable output, 2 verification
+failure, 3 internal error (any other exception, which is a bug).
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _write_records(path: str, records: list[dict]) -> None:
 
 def _emit(args, lines: list[str], records: list[dict]) -> None:
     # the file first, so an unwritable --output fails before anything is printed
-    if args.output and args.output != "-":
+    if args.output is not None and args.output != "-":
         _write_records(args.output, records)
     if args.format == "records":
         for record in records:
@@ -333,7 +333,17 @@ def main(argv=None) -> int:
         code = exc.code or 0
         return 1 if code == 2 else int(code)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (``crankmex ... | head``); send the unwritten
+        # rest to devnull, so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write to stdout: the reader closed it", file=sys.stderr)
+        return 1
     except (PartitionError, DomainError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,6 @@ from . import maps
 __all__ = [
     "ENUMERATION_LIMIT",
     "partitions_of",
-    "CrankTable",
     "crank_table",
     "partition_series",
     "odd_mex_series",
@@ -55,43 +54,13 @@ def partitions_of(n: int) -> Iterator[Partition]:
         yield Partition(raw)
 
 
-class CrankTable:
-    """Exact counts of partitions by weight and crank, with the weight-1 quirk.
-
-    For ``n != 1``, ``count(m, n)`` is the plain number of partitions of ``n``
-    with crank ``m``.  The weight-1 row is defined by convention as
-    ``count(1,1) = count(-1,1) = 1`` and ``count(0,1) = -1`` (the only
-    negative entry), which keeps both the row sum ``p(1) = 1`` and the
-    symmetry ``count(m, n) == count(-m, n)`` intact.
-    """
-
-    def __init__(self, max_weight: int, counts: dict[tuple[int, int], int]):
-        self.max_weight = max_weight
-        self._counts = counts
-
-    def count(self, m: int, n: int) -> int:
-        return self._counts.get((m, n), 0)
-
-    def row(self, n: int) -> dict[int, int]:
-        return {m: self.count(m, n) for m in range(-n, n + 1)}
-
-    def row_sum(self, n: int) -> int:
-        return sum(self.row(n).values())
-
-    def symmetry_failures(self) -> list[tuple[int, int]]:
-        bad = []
-        for n in range(self.max_weight + 1):
-            for m in range(1, n + 1):
-                if self.count(m, n) != self.count(-m, n):
-                    bad.append((m, n))
-        return bad
-
-
 def _crank_row(n: int, cranks) -> dict[int, int]:
     """Count ``cranks``, those of the partitions of ``n``, by value.
 
-    The weight-1 row is the convention ``{1: 1, 0: -1, -1: 1}``; ``cranks``
-    is then never read, so a lazy enumeration is not started.
+    The weight-1 row is the Andrews-Garvan convention ``{1: 1, 0: -1, -1: 1}``
+    (its one negative count), which keeps the row sum ``p(1) = 1`` and the
+    symmetry ``row[m] == row[-m]``; ``cranks`` is then never read, so a lazy
+    enumeration is not started.
     """
     if n == 1:
         return {1: 1, 0: -1, -1: 1}
@@ -101,18 +70,23 @@ def _crank_row(n: int, cranks) -> dict[int, int]:
     return row
 
 
-def crank_table(max_weight: int) -> CrankTable:
-    """Tabulate crank counts for all weights up to ``max_weight``.
+def crank_table(max_weight: int) -> dict[int, dict[int, int]]:
+    """The crank rows ``{n: {m: count}}`` for all weights ``0..max_weight``.
+
+    Each row is built by :func:`_crank_row`, weight-1 convention included;
+    a crank no partition has is absent from its row.
+
+    >>> crank_table(4)[1] == {1: 1, 0: -1, -1: 1}
+    True
 
     A ``max_weight`` above ``ENUMERATION_LIMIT`` raises :class:`DomainError`
     before anything is enumerated.
     """
     _check_max_weight(max_weight)
-    counts: dict[tuple[int, int], int] = {}
-    for n in range(max_weight + 1):
-        row = _crank_row(n, (lam.crank() for lam in partitions_of(n)))
-        counts.update(((m, n), count) for m, count in row.items())
-    return CrankTable(max_weight, counts)
+    return {
+        n: _crank_row(n, (lam.crank() for lam in partitions_of(n)))
+        for n in range(max_weight + 1)
+    }
 
 
 def partition_series(order: int) -> list[int]:

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +333,37 @@ def test_unwritable_output_exits_one_before_printing(capsys, tmp_path, target):
     assert err.startswith(f"error: cannot write --output {path}: ")
     assert err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_empty_output_path_exits_one_and_leaves_no_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "stats", "3", "--output", "")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write --output : ")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+# Each prints well over a pipe's 64 KiB buffer, so the writer is still
+# writing when the reader goes away.
+@pytest.mark.parametrize("argv", [
+    ("table", "--weight", "30", "--j", "0"),
+    ("verify", "--max-n", "16", "--max-j", "6", "--format", "records"),
+], ids=["table", "verify-records"])
+def test_closed_stdout_exits_one(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crankmex.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()  # as `crankmex ... | head -1` does
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "error: cannot write to stdout: the reader closed it\n"
 
 
 def test_output_records_are_the_printed_records(capsys, tmp_path):
