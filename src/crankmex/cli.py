@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -103,6 +104,9 @@ def _write_records(path: str, records: list[dict]) -> None:
     in place, since a replace would swap the link or the device node for a
     regular file.  An ``OSError`` becomes an :class:`_OutputError`.
     """
+    if not os.path.basename(path):  # "" or "dir/" names no file to write
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        raise _cannot_write(path, OSError(code, os.strerror(code)))
     text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     in_place = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
@@ -128,7 +132,7 @@ def _write_records(path: str, records: list[dict]) -> None:
 
 def _emit(args, lines: list[str], records: list[dict]) -> None:
     # the file first, so an unwritable --output fails before anything is printed
-    if args.output is not None and args.output != "-":
+    if args.output is not None:
         _write_records(args.output, records)
     if args.format == "records":
         for record in records:

@@ -174,15 +174,6 @@ class Trace(_TraceFields):
         return result
 
 
-def _with(state: PairState, k: int, lam: Partition) -> PairState:
-    """``state`` with ``k`` and ``lam`` replaced, without the checks of ``__new__``.
-
-    ``j`` and ``odd`` come from a state already checked.  The moves return
-    ``k``, ``k + 1`` or ``k - 1``, the last only when ``k > 0``.
-    """
-    return tuple.__new__(PairState, (state.j, k, lam, state.odd))
-
-
 # The two moves on the Durfee arms that every step map is made of.  Each
 # returns an unsorted buffer for the caller to finish and pass to _sealed.
 def _peel(parts: tuple[int, ...], d: int) -> list[int]:
@@ -241,7 +232,10 @@ def _stepped(state: PairState, move) -> StepResult:
     case, d, k, buf = move
     if case == FIXED_POINT:
         return StepResult(state, case, d)
-    return StepResult(_with(state, k, _sealed(buf)), case, d)
+    # built without the checks of PairState.__new__: j and odd come from a
+    # state already checked, and a move returns k, k + 1 or, when k > 0, k - 1
+    after = tuple.__new__(PairState, (state.j, k, _sealed(buf), state.odd))
+    return StepResult(after, case, d)
 
 
 def fold_step(state: PairState) -> StepResult:

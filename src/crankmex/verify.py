@@ -6,7 +6,6 @@ All series arithmetic is exact integer arithmetic; enumeration order is fixed
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple
 
 from .core import DomainError, Partition, _check_nonnegative, _durfee_size
@@ -127,8 +126,7 @@ def odd_mex_series(j: int, order: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     n: int
     j: int | None
@@ -137,14 +135,16 @@ class CheckResult:
     note: str = ""
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
 class VerificationReport:
-    max_weight: int
-    max_j: int
-    results: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("max_weight", "max_j", "results")
+
+    def __init__(self, max_weight: int, max_j: int, results: list[CheckResult] | None = None):
+        self.max_weight = max_weight
+        self.max_j = max_j
+        self.results = [] if results is None else results
 
     @property
     def failures(self) -> list[CheckResult]:

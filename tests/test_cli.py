@@ -345,6 +345,35 @@ def test_empty_output_path_exits_one_and_leaves_no_file(capsys, tmp_path, monkey
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("", "No such file or directory"),
+    ("missing/", "No such file or directory"),
+    ("sub/", "Is a directory"),
+])
+def test_output_naming_no_file_opens_nothing(capsys, tmp_path, monkeypatch, target, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"open{args!r} for an --output that names no file")
+
+    monkeypatch.setattr(cli, "open", no_open, raising=False)
+    code, out, err = run_cli(capsys, "stats", "3", "--output", target)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write --output {target}: {reason}\n"
+    assert os.listdir(tmp_path) == ["sub"]
+    assert os.listdir(tmp_path / "sub") == []
+
+
+def test_output_dash_is_an_ordinary_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "stats", "3", "--format", "records", "--output", "-")
+    assert code == 0
+    assert (tmp_path / "-").read_text() == out
+    assert os.listdir(tmp_path) == ["-"]
+
+
 # Each prints well over a pipe's 64 KiB buffer, so the writer is still
 # writing when the reader goes away.
 @pytest.mark.parametrize("argv", [

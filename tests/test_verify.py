@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +274,38 @@ def test_suite_summary_mentions_failures():
     text = "\n".join(report.summary_lines())
     assert "FAIL demo-check" in text
     assert "2,1" in text
+
+
+def test_check_result_record_keys_and_repr():
+    result = CheckResult("demo", 3, 0, "pass")
+    assert list(result.to_record()) == ["name", "n", "j", "status", "counterexample", "note"]
+    assert result.to_record() == {
+        "name": "demo", "n": 3, "j": 0, "status": "pass", "counterexample": None, "note": "",
+    }
+    assert repr(result) == (
+        "CheckResult(name='demo', n=3, j=0, status='pass', counterexample=None, note='')"
+    )
+
+
+def test_reports_do_not_share_results():
+    first, second = VerificationReport(3, 0), VerificationReport(3, 0)
+    first.results.append(CheckResult("demo", 3, 0, "pass"))
+    assert second.results == []
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    # compared with a snapshot taken before the import, so what site loads
+    # at start-up does not count
+    code = (
+        "import sys; before = set(sys.modules); import crankmex.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_suite_bounds_validation():
