@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import maps
-from .core import DomainError, Partition, PartitionError
+from .core import DomainError, Partition, PartitionError, _check_nonnegative
 from .verify import partitions_of, run_theorem_suite
 
 __all__ = ["main"]
@@ -182,6 +182,7 @@ def _apply_map(name: str, j: int, lam: Partition) -> Partition:
         return _TRACED_MAPS[name](j, lam)[0]
     if name in _PLAIN_MAPS:
         return _PLAIN_MAPS[name](j, lam)
+    _check_nonnegative("j", j)  # negate-crank takes no j; a bad one fails as elsewhere
     return _NO_J_MAPS[name](lam)
 
 

@@ -8,10 +8,13 @@ them gives mutually inverse bijections between
 
 * partitions whose mex above ``j`` has an odd offset (entered through the mex
   decomposition, staircase of even length), and
-* partitions with no arm length equal to ``j``,
+* partitions with no arm length equal to ``j``.
 
-together with the analogous odd-staircase bijection for the complementary
-classes.  On top of these sit :func:`to_low_crank` / :func:`from_low_crank`
+The complement maps :func:`fold_complement` / :func:`unfold_complement`, between
+even offsets and partitions with arm ``j``, are the odd-staircase case of the
+same run: they share the start states of :func:`fold` and :func:`unfold`
+(with ``odd=True``) and add one :func:`attach_step` or :func:`detach_step`.
+On top of these sit :func:`to_low_crank` / :func:`from_low_crank`
 (trading the guaranteed part ``j`` and the Durfee slack for a batch of 1s,
 which forces the crank down to ``-j`` or below), the crank-negating involution
 :func:`negate_crank`, and the composite :func:`mex_to_crank` /
@@ -99,8 +102,10 @@ class PairState(_PairFields):
     ``Partition(range(top, j, -1))``.
 
     A named tuple of ``(j, k, lam, odd)``: immutable, hashable and equal to
-    any tuple with the same fields.  Construction rejects a ``j`` or ``k``
-    that is not a non-negative integer with :class:`DomainError`.
+    any tuple with the same fields.  Construction rejects with
+    :class:`DomainError` a ``j`` or ``k`` that is not a non-negative integer,
+    a ``lam`` that is not a :class:`Partition` and an ``odd`` that is not a
+    ``bool``.
     """
 
     __slots__ = ()
@@ -108,6 +113,10 @@ class PairState(_PairFields):
     def __new__(cls, j: int, k: int, lam: Partition, odd: bool = False):
         _check_nonnegative("j", j)
         _check_nonnegative("k", k)
+        if not isinstance(lam, Partition):
+            raise DomainError(f"lam must be a Partition, got {type(lam).__name__}")
+        if type(odd) is not bool:
+            raise DomainError(f"odd must be a bool, got {odd!r}")
         return tuple.__new__(cls, (j, k, lam, odd))
 
     @classmethod
@@ -310,8 +319,7 @@ def _iterate(
     # Loose cap; legal runs finish far earlier, so exceeding it is a bug.
     cap = 2 * start.pair_weight + 2 * start.k + 4
     cur = start
-    taken = 0
-    while True:
+    for _ in range(cap):
         case, d, k, buf = result
         if case == FIXED_POINT:
             raise IterationLimitError(
@@ -322,12 +330,10 @@ def _iterate(
             after = tuple.__new__(PairState, (j, k, lam, odd))
             steps.append(tuple.__new__(TraceStep, (direction, case, d, cur, after)))
             cur = after
-        taken += 1
-        if taken > cap:
-            raise IterationLimitError(f"{direction} iteration exceeded the cap of {cap} steps")
         result = move(j, k, odd, lam._parts)
         if result is None:
             return cur if steps is not None else tuple.__new__(PairState, (j, k, lam, odd))
+    raise IterationLimitError(f"{direction} iteration exceeded the cap of {cap} steps")
 
 
 def fold_pair(state: PairState) -> tuple[PairState, Trace]:
@@ -347,20 +353,23 @@ def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
 # Each public map below checks its j once, at its entry, and then calls only
 # unchecked code: the private bodies of the arm maps, the start states, and
 # the kernels of core.  A start state checks the domain and builds its
-# PairState without the checks of __new__.
-def _fold_start(j: int, lam: Partition) -> PairState:
-    if j + 1 not in lam._parts:  # run == 0: the pair is (empty staircase, lam)
+# PairState without the checks of __new__; odd=True starts the complement maps.
+def _fold_start(j: int, lam: Partition, odd: bool = False) -> PairState:
+    if not odd and j + 1 not in lam._parts:  # run == 0: the pair is (empty staircase, lam)
         return tuple.__new__(PairState, (j, 0, lam, False))
     _, run, rest = _mex_split(j, lam)
-    if run % 2:
-        raise DomainError(f"{lam.to_text()!r} does not have an odd mex offset at j={j}")
-    return tuple.__new__(PairState, (j, run // 2, rest, False))
+    if run % 2 != odd:
+        parity = "even" if odd else "odd"
+        raise DomainError(f"{lam.to_text()!r} does not have an {parity} mex offset at j={j}")
+    return tuple.__new__(PairState, (j, run // 2, rest, odd))
 
 
-def _unfold_start(j: int, lam: Partition) -> PairState:
-    if _has_arm(lam._parts, j):
+def _unfold_start(j: int, lam: Partition, odd: bool = False) -> PairState:
+    if odd:
+        lam = _detach_step(j, lam)
+    elif _has_arm(lam._parts, j):
         raise DomainError(f"{lam.to_text()!r} has arm {j}; unfolding requires it absent")
-    return tuple.__new__(PairState, (j, 0, lam, False))
+    return tuple.__new__(PairState, (j, 0, lam, odd))
 
 
 def fold(j: int, lam: Partition) -> tuple[Partition, Trace]:
@@ -427,20 +436,14 @@ def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
     arm ``j``.  Weight preserved; inverse :func:`unfold_complement`.
     """
     _check_nonnegative("j", j)
-    _, run, rest = _mex_split(j, lam)
-    if run % 2 == 0:
-        raise DomainError(f"{lam.to_text()!r} has an odd mex offset at j={j}; expected even")
-    end, trace = fold_pair(tuple.__new__(PairState, (j, (run - 1) // 2, rest, True)))
+    end, trace = fold_pair(_fold_start(j, lam, True))
     return _attach_step(j, end.lam), trace
 
 
 def unfold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
     """Inverse of :func:`fold_complement`, entered from a partition with arm ``j``."""
     _check_nonnegative("j", j)
-    if not _has_arm(lam._parts, j):
-        raise DomainError(f"{lam.to_text()!r} lacks arm {j}; cannot unfold the complement map")
-    mu = _detach_step(j, lam)
-    end, trace = unfold_pair(tuple.__new__(PairState, (j, 0, mu, True)))
+    end, trace = unfold_pair(_unfold_start(j, lam, True))
     return _mex_join(j, 2 * end.k + 1, end.lam), trace
 
 

@@ -456,3 +456,12 @@ def test_cli_round_trip_parse_print():
     for n in range(26):
         for lam in partitions_of(n):
             assert Partition.from_text(lam.to_text()) == lam
+
+
+def test_map_negate_crank_rejects_a_negative_j(capsys):
+    code, out, err = run_cli(capsys, "map", "negate-crank", "5,3,1", "--j", "-3")
+    assert (code, out) == (1, "")
+    assert err == "error: j must be a non-negative integer, got -3\n"
+    code, out, _ = run_cli(capsys, "map", "negate-crank", "5,3,1", "--j", "0")
+    assert code == 0
+    assert out == "map negate-crank j=0\ninput 5,3,1  crank 1\noutput 5,2,1,1  crank -1\n"

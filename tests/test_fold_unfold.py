@@ -3,6 +3,7 @@ import pytest
 from crankmex import (
     FIXED_POINT,
     DomainError,
+    IterationLimitError,
     PairState,
     Partition,
     Trace,
@@ -309,3 +310,62 @@ def test_complement_domain_errors():
         fold_complement(0, Partition())  # empty partition has odd mex offset
     with pytest.raises(DomainError):
         unfold_complement(0, P("9"))  # no arm 0
+
+
+@pytest.mark.parametrize(
+    "lam, odd, message",
+    [
+        ((5, 3), False, "lam must be a Partition, got tuple"),
+        ("5,3", False, "lam must be a Partition, got str"),
+        (None, False, "lam must be a Partition, got NoneType"),
+        (P("5,3"), "no", "odd must be a bool, got 'no'"),
+        (P("5,3"), 1, "odd must be a bool, got 1"),
+        (P("5,3"), None, "odd must be a bool, got None"),
+    ],
+)
+def test_pair_state_rejects_a_bad_partition_or_mode(lam, odd, message):
+    with pytest.raises(DomainError) as info:
+        PairState(0, 1, lam, odd)
+    assert str(info.value) == message
+    with pytest.raises(DomainError) as info:
+        PairState(0, 1, P(""))._replace(lam=lam, odd=odd)
+    assert str(info.value) == message
+
+
+def test_complement_domain_error_messages():
+    with pytest.raises(DomainError) as info:
+        fold_complement(0, Partition())
+    assert str(info.value) == "'' does not have an even mex offset at j=0"
+    with pytest.raises(DomainError) as info:
+        unfold_complement(0, P("9"))
+    assert str(info.value) == "'9' has no arm 0 to detach"
+
+
+# -- the step cap ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("keep_trace", [False, True])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_iteration_cap_boundary(keep_trace, extra):
+    # A fake move that steps `cap + extra` times and then reports the
+    # terminal state: exactly `cap` steps end normally, one more is an error
+    # raised after `cap + 1` move calls.
+    start = PairState(1, 2, P("2,1"))  # staircase (5,4,3,2): pair weight 17
+    cap = 2 * 17 + 2 * 2 + 4
+    calls = []
+
+    def move(j, k, odd, parts):
+        calls.append(parts)
+        if len(calls) > cap + extra:
+            return None
+        return 1, 0, k, list(parts)
+
+    steps = [] if keep_trace else None
+    if extra:
+        with pytest.raises(IterationLimitError) as info:
+            maps._iterate(start, move, "fold", steps)
+        assert str(info.value) == f"fold iteration exceeded the cap of {cap} steps"
+    else:
+        assert maps._iterate(start, move, "fold", steps) == start
+        assert steps is None or len(steps) == cap
+    assert len(calls) == cap + 1
