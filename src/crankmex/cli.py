@@ -5,7 +5,8 @@ empty string denotes the empty partition.  Each command builds its records
 once: ``--format records`` prints them as JSON lines, ``--output`` writes them,
 and the aligned text is rendered from them.  Exit codes: 0 success / all
 checks pass, 1 domain or parse error or an unwritable output, 2 verification
-failure, 3 internal error (any other exception, which is a bug).
+failure, 3 internal error (a broken invariant or any other exception: a bug,
+never a bad input).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 
 from . import maps
-from .core import DomainError, Partition, PartitionError, _check_nonnegative
+from .core import DomainError, Partition, PartitionError, _check_nonnegative, _invariant_broken
 from .verify import partitions_of, run_theorem_suite
 
 __all__ = ["main"]
@@ -35,10 +36,7 @@ _PLAIN_MAPS = {
     "mex-to-crank": maps.mex_to_crank,
     "crank-to-mex": maps.crank_to_mex,
 }
-_NO_J_MAPS = {
-    "negate-crank": maps.negate_crank,
-}
-_ALL_MAPS = sorted(_TRACED_MAPS | _PLAIN_MAPS | _NO_J_MAPS)
+_ALL_MAPS = sorted([*_TRACED_MAPS, *_PLAIN_MAPS, "negate-crank"])
 
 # Upper bound on stats --max-j: it loops over every j up to it, so the bound
 # keeps every accepted value finishing in bounded time.
@@ -183,7 +181,7 @@ def _apply_map(name: str, j: int, lam: Partition) -> Partition:
     if name in _PLAIN_MAPS:
         return _PLAIN_MAPS[name](j, lam)
     _check_nonnegative("j", j)  # negate-crank takes no j; a bad one fails as elsewhere
-    return _NO_J_MAPS[name](lam)
+    return maps.negate_crank(lam)
 
 
 def _cmd_map(args) -> int:
@@ -251,9 +249,12 @@ def _cmd_table(args) -> int:
     for lam in partitions_of(weight):
         if not (lam.has_odd_mex(j) and lam.has_part(j)):
             continue
-        folded, _ = maps.fold(j, lam)
-        low = maps.to_low_crank(j, folded)
-        final = maps.negate_crank(low)
+        try:  # the row is in the domain of all three maps, so a DomainError is a bug
+            folded, _ = maps.fold(j, lam)
+            low = maps.to_low_crank(j, folded)
+            final = maps.negate_crank(low)
+        except DomainError as exc:
+            raise _invariant_broken(f"table row {lam.to_text()!r}", exc) from exc
         records.append(
             {
                 "input": lam.to_text(),

@@ -41,10 +41,11 @@ class DomainError(ValueError):
 
 
 class IterationLimitError(RuntimeError):
-    """An iterated map exceeded its hard step cap.
+    """A broken internal invariant: an implementation bug, never a bad input.
 
-    The cap is deliberately loose; hitting it means an implementation bug,
-    never a bad input.
+    Raised when an iterated map exceeds its deliberately loose step cap or
+    reaches a fixed state, and when a later stage of a composite map rejects
+    what an earlier stage handed it after the map's entry checks passed.
     """
 
 
@@ -71,11 +72,18 @@ def _checked_weight(seq: tuple) -> int:
             )
         prev = value
         total += value
+    if type(total) is not int:  # an int subclass may add to something else
+        raise PartitionError(f"parts do not sum to an integer: {total!r}")
     return total
 
 
 def _too_heavy(total: int) -> PartitionError:
     return PartitionError(f"weight {total} exceeds the supported maximum {MAX_WEIGHT}")
+
+
+def _invariant_broken(where: str, exc: DomainError) -> IterationLimitError:
+    """The error for a ``DomainError`` raised after ``where``'s entry checks passed."""
+    return IterationLimitError(f"{where} broke an internal invariant: {exc}")
 
 
 def _durfee_size(parts: tuple[int, ...], j: int) -> int:
@@ -97,8 +105,6 @@ def _has_arm(parts: tuple[int, ...], j: int) -> bool:
 def _mex(parts: tuple[int, ...], j: int) -> int:
     """Unchecked :meth:`Partition.mex` for a validated ``j``."""
     candidate = j + 1
-    if candidate not in parts:
-        return candidate
     values = set(parts)
     while candidate in values:
         candidate += 1
@@ -320,7 +326,6 @@ def _sealed(buf: list) -> Partition:
     total = sum(buf)
     if type(total) is not int or (buf and buf[-1] < 1):
         _checked_weight(tuple(buf))  # raises the public constructor's message
-        raise PartitionError(f"parts do not sum to an integer: {total!r}")
     if total > MAX_WEIGHT:
         raise _too_heavy(total)
     lam = object.__new__(Partition)
@@ -362,8 +367,6 @@ def mex_split(j: int, lam: Partition) -> MexDecomposition:
 def _mex_split(j: int, lam: Partition) -> MexDecomposition:
     """Unchecked :func:`mex_split` for a validated ``j``."""
     run = _mex(lam._parts, j) - j - 1
-    if run == 0:
-        return MexDecomposition(j, 0, lam)
     buf = list(lam._parts)
     for v in range(j + 1, j + run + 1):
         buf.remove(v)

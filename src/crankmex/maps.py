@@ -53,6 +53,7 @@ from .core import (
     _conjugate_parts,
     _durfee_size,
     _has_arm,
+    _invariant_broken,
     _mex_join,
     _mex_split,
     _sealed,
@@ -354,8 +355,12 @@ def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
 # unchecked code: the private bodies of the arm maps, the start states, and
 # the kernels of core.  A start state checks the domain and builds its
 # PairState without the checks of __new__; odd=True starts the complement maps.
+# Once the entry checks have passed, a DomainError from a later stage is a
+# bug, and the map re-raises it as IterationLimitError (_invariant_broken).
 def _fold_start(j: int, lam: Partition, odd: bool = False) -> PairState:
-    if not odd and j + 1 not in lam._parts:  # run == 0: the pair is (empty staircase, lam)
+    # The split side's one zero-run shortcut (_mex_split has none): with no
+    # part j + 1 the pair is (empty staircase, lam), and no split is built.
+    if not odd and j + 1 not in lam._parts:
         return tuple.__new__(PairState, (j, 0, lam, False))
     _, run, rest = _mex_split(j, lam)
     if run % 2 != odd:
@@ -389,7 +394,10 @@ def unfold(j: int, lam: Partition) -> tuple[Partition, Trace]:
     """Inverse of :func:`fold`: rebuild the odd-mex partition from an arm-free one."""
     _check_nonnegative("j", j)
     end, trace = unfold_pair(_unfold_start(j, lam))
-    return _mex_join(j, 2 * end.k, end.lam), trace
+    try:
+        return _mex_join(j, 2 * end.k, end.lam), trace
+    except DomainError as exc:
+        raise _invariant_broken("unfold", exc) from exc
 
 
 def detach_step(j: int, lam: Partition) -> Partition:
@@ -437,14 +445,20 @@ def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
     """
     _check_nonnegative("j", j)
     end, trace = fold_pair(_fold_start(j, lam, True))
-    return _attach_step(j, end.lam), trace
+    try:
+        return _attach_step(j, end.lam), trace
+    except DomainError as exc:
+        raise _invariant_broken("fold_complement", exc) from exc
 
 
 def unfold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
     """Inverse of :func:`fold_complement`, entered from a partition with arm ``j``."""
     _check_nonnegative("j", j)
     end, trace = unfold_pair(_unfold_start(j, lam, True))
-    return _mex_join(j, 2 * end.k + 1, end.lam), trace
+    try:
+        return _mex_join(j, 2 * end.k + 1, end.lam), trace
+    except DomainError as exc:
+        raise _invariant_broken("unfold_complement", exc) from exc
 
 
 def to_low_crank(j: int, lam: Partition) -> Partition:
@@ -549,8 +563,12 @@ def mex_to_crank(j: int, lam: Partition) -> Partition:
         raise DomainError("defined only for partitions of weight at least 2")
     if j and j not in lam._parts:
         raise DomainError(f"{lam.to_text()!r} has no part {j}")
-    end = _iterate(_fold_start(j, lam), _fold_move, "fold")
-    return negate_crank(_to_low_crank(j, end.lam))
+    start = _fold_start(j, lam)
+    try:
+        end = _iterate(start, _fold_move, "fold")
+        return negate_crank(_to_low_crank(j, end.lam))
+    except DomainError as exc:
+        raise _invariant_broken("mex_to_crank", exc) from exc
 
 
 def crank_to_mex(j: int, lam: Partition) -> Partition:
@@ -559,6 +577,10 @@ def crank_to_mex(j: int, lam: Partition) -> Partition:
     crank = lam.crank()
     if crank < j:
         raise DomainError(f"{lam.to_text()!r} has crank {crank} < {j}")
-    mu = _from_low_crank(j, negate_crank(lam))
-    end = _iterate(_unfold_start(j, mu), _unfold_move, "unfold")
-    return _mex_join(j, 2 * end.k, end.lam)
+    low = negate_crank(lam)
+    try:
+        mu = _from_low_crank(j, low)
+        end = _iterate(_unfold_start(j, mu), _unfold_move, "unfold")
+        return _mex_join(j, 2 * end.k, end.lam)
+    except DomainError as exc:
+        raise _invariant_broken("crank_to_mex", exc) from exc

@@ -465,3 +465,39 @@ def test_map_negate_crank_rejects_a_negative_j(capsys):
     code, out, _ = run_cli(capsys, "map", "negate-crank", "5,3,1", "--j", "0")
     assert code == 0
     assert out == "map negate-crank j=0\ninput 5,3,1  crank 1\noutput 5,2,1,1  crank -1\n"
+
+
+def _never_steps(j, k, odd, parts):
+    return None
+
+
+@pytest.mark.parametrize(
+    "patched,replacement,argv,cause",
+    [
+        ("_fold_move", _never_steps,
+         ("map", "mex-to-crank", "11,8,7,7,5,5,4,3,2,2", "--j", "0"),
+         "mex_to_crank broke an internal invariant: '11,8,7,7,5,5,4,3,2,2' has arm 0"),
+        ("_fold_move", _never_steps, ("table", "--weight", "9", "--j", "0"),
+         "table row '7,2' broke an internal invariant: '7,2' has arm 0"),
+        ("_unfold_move", _never_steps, ("map", "unfold", "13,10,9,9,4,3,2,2,1,1"),
+         "unfold broke an internal invariant: rest must not contain the part 1"),
+        ("_from_low_crank", lambda j, lam: lam,
+         ("map", "crank-to-mex", "12,10,8,7,6,5,5,1", "--j", "5"),
+         "crank_to_mex broke an internal invariant: "),
+    ],
+    ids=["map-mex-to-crank", "table", "map-unfold", "map-crank-to-mex"],
+)
+def test_broken_invariant_inside_a_map_exits_three(
+    capsys, monkeypatch, patched, replacement, argv, cause
+):
+    # past a map's entry checks a DomainError is a bug, not a bad input
+    monkeypatch.setattr(cli.maps, patched, replacement)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal error: IterationLimitError: {cause}")
+
+
+def test_crank_to_mex_of_the_empty_partition_exits_one(capsys):
+    code, out, err = run_cli(capsys, "map", "crank-to-mex", "", "--j", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: defined only for partitions of weight at least 2\n"

@@ -12,7 +12,7 @@ from crankmex import (
     mex_join,
     mex_split,
 )
-from crankmex.core import _check_nonnegative, _checked_weight
+from crankmex.core import _check_nonnegative, _checked_weight, _sealed
 
 
 def P(text):
@@ -288,3 +288,33 @@ def test_mex_split_join_round_trip():
 def test_mex_join_rejects_excluded_part():
     with pytest.raises(DomainError):
         mex_join(0, 2, P("3,1"))  # rest may not contain 3
+
+
+class _FloatSum(int):
+    """An int whose sums are floats: every per-part check passes."""
+
+    def __radd__(self, other):
+        return float(int(self) + other)
+
+
+@pytest.mark.parametrize(
+    "parts,total", [([_FloatSum(2), 1], "3.0"), ([_FloatSum(2)] * 30, "60.0")]
+)
+def test_parts_that_do_not_sum_to_an_int_are_rejected_alike(parts, total):
+    # the constructor (short and long paths) and _sealed raise the same message
+    message = f"parts do not sum to an integer: {total}"
+    with pytest.raises(PartitionError) as info:
+        Partition(parts)
+    assert str(info.value) == message
+    with pytest.raises(PartitionError) as info:
+        _sealed(list(parts))
+    assert str(info.value) == message
+
+
+def test_repr_and_iter():
+    lam = P("5,3,2,2")
+    assert repr(lam) == "Partition((5, 3, 2, 2))"
+    assert repr(Partition()) == "Partition(())"
+    assert list(lam) == [5, 3, 2, 2]
+    assert list(Partition()) == []
+    assert Partition(iter(lam)) == lam

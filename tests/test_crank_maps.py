@@ -223,3 +223,35 @@ def test_composite_keeps_the_iteration_cap(monkeypatch):
     with pytest.raises(IterationLimitError, match="exceeded the cap of 14 steps"):
         mex_to_crank(0, P("2,1,1"))
     assert len(calls) == 15
+
+
+def _never_steps(j, k, odd, parts):
+    return None
+
+
+@pytest.mark.parametrize(
+    "name,patched,replacement,j,source,cause",
+    [
+        ("mex_to_crank", "_fold_move", _never_steps, 0, "11,8,7,7,5,5,4,3,2,2", "has arm 0"),
+        ("crank_to_mex", "_from_low_crank", lambda j, lam: lam, 5, "12,10,8,7,6,5,5,1",
+         "has arm 5; unfolding requires it absent"),
+        ("unfold", "_unfold_move", _never_steps, 0, "13,10,9,9,4,3,2,2,1,1",
+         "rest must not contain the part 1"),
+        ("fold_complement", "_fold_move", _never_steps, 0, "3,3,1", "has arm 1"),
+        ("unfold_complement", "_unfold_move", _never_steps, 0, "2,2,2",
+         "rest must not contain the part 2"),
+    ],
+    ids=["mex_to_crank", "crank_to_mex", "unfold", "fold_complement", "unfold_complement"],
+)
+def test_a_broken_invariant_after_the_entry_checks_is_a_bug(
+    monkeypatch, name, patched, replacement, j, source, cause
+):
+    # with a stage patched to break its contract, the next stage's
+    # DomainError is re-raised as IterationLimitError, chained, naming the map
+    monkeypatch.setattr(maps, patched, replacement)
+    with pytest.raises(IterationLimitError) as info:
+        getattr(maps, name)(j, P(source))
+    assert str(info.value).startswith(f"{name} broke an internal invariant: ")
+    assert cause in str(info.value)
+    assert isinstance(info.value.__cause__, DomainError)
+

@@ -369,3 +369,29 @@ def test_iteration_cap_boundary(keep_trace, extra):
         assert maps._iterate(start, move, "fold", steps) == start
         assert steps is None or len(steps) == cap
     assert len(calls) == cap + 1
+
+
+def test_zero_run_starts_never_split(monkeypatch):
+    # the split side's one zero-run shortcut: with no part j + 1, fold and
+    # mex_to_crank start from (empty staircase, lam) without calling _mex_split
+    cases = [
+        (j, lam)
+        for n in range(11)
+        for lam in partitions_of(n)
+        for j in range(4)
+        if not lam.has_part(j + 1)
+    ]
+    folded = [fold(j, lam) for j, lam in cases]
+    high = {
+        (j, lam): maps.mex_to_crank(j, lam)
+        for j, lam in cases
+        if lam.weight >= 2 and lam.has_part(j)
+    }
+    assert high
+
+    def no_split(j, lam):
+        raise AssertionError(f"_mex_split({j}, {lam!r}) called on a zero run")
+
+    monkeypatch.setattr(maps, "_mex_split", no_split)
+    assert [fold(j, lam) for j, lam in cases] == folded
+    assert {key: maps.mex_to_crank(*key) for key in high} == high
