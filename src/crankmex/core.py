@@ -27,10 +27,6 @@ __all__ = [
 # absurd inputs reaching the O(weight) routines.
 MAX_WEIGHT = 10**6
 
-# Up to this many parts one Python pass checks a sequence faster than the C
-# calls of Partition.__init__ (the crossover measured on CPython 3.11).
-_SHORT_PARTS = 24
-
 
 class PartitionError(ValueError):
     """A sequence does not describe a valid partition."""
@@ -43,9 +39,9 @@ class DomainError(ValueError):
 class IterationLimitError(RuntimeError):
     """A broken internal invariant: an implementation bug, never a bad input.
 
-    Raised when an iterated map exceeds its deliberately loose step cap or
-    reaches a fixed state, and when a later stage of a composite map rejects
-    what an earlier stage handed it after the map's entry checks passed.
+    Raised when an iterated map exceeds its loose step cap or reaches a fixed
+    state, when a later stage of a map rejects what its entry checks let in,
+    and when a map's output fails its own check (all but the weight cap).
     """
 
 
@@ -81,8 +77,8 @@ def _too_heavy(total: int) -> PartitionError:
     return PartitionError(f"weight {total} exceeds the supported maximum {MAX_WEIGHT}")
 
 
-def _invariant_broken(where: str, exc: DomainError) -> IterationLimitError:
-    """The error for a ``DomainError`` raised after ``where``'s entry checks passed."""
+def _invariant_broken(where: str, exc: ValueError) -> IterationLimitError:
+    """The error for a check that fails after ``where``'s entry checks passed."""
     return IterationLimitError(f"{where} broke an internal invariant: {exc}")
 
 
@@ -143,28 +139,17 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         seq = tuple(parts)
-        # The common case is exact ints, positive and non-increasing.  A long
-        # sequence is accepted by checks that all run in C, a short one by one
-        # tight pass.  Anything else is handed to _checked_weight, which
-        # accepts int subclasses and raises the exact message for a bad part.
-        if len(seq) > _SHORT_PARTS:
-            if (
-                countOf(map(type, seq), int) == len(seq)
-                and seq[-1] >= 1
-                and list(seq) == sorted(seq, reverse=True)
-            ):
-                total = sum(seq)
-            else:
-                total = _checked_weight(seq)
+        # Exact ints, positive and non-increasing, pass checks that all run in
+        # C at any length; anything else goes to _checked_weight, which accepts
+        # int subclasses and raises the exact message for a bad part.
+        if (
+            countOf(map(type, seq), int) == len(seq)
+            and (not seq or seq[-1] >= 1)
+            and list(seq) == sorted(seq, reverse=True)
+        ):
+            total = sum(seq)
         else:
-            total = 0
-            prev = seq[0] if seq else 0
-            for value in seq:
-                if type(value) is not int or not 1 <= value <= prev:
-                    total = _checked_weight(seq)
-                    break
-                prev = value
-                total += value
+            total = _checked_weight(seq)
         if total > MAX_WEIGHT:
             raise _too_heavy(total)
         self._parts = seq
@@ -296,7 +281,10 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram; an involution preserving weight."""
-        return Partition(_conjugate_parts(self._parts))
+        try:  # a misordered conjugate is a bug, so it is checked, not sorted
+            return Partition(_conjugate_parts(self._parts))
+        except PartitionError as exc:
+            raise _invariant_broken("conjugate", exc) from exc
 
     def durfee_triple(self) -> "DurfeeTriple":
         """Durfee decomposition ``(size, arms, legs)``.
@@ -320,12 +308,17 @@ def _sealed(buf: list) -> Partition:
     public constructor this does not walk the parts: it checks only what the
     sort leaves open, a positive smallest part and an exact ``int`` weight
     (a float, ``Decimal`` or ``Fraction`` part makes the sum one), and the
-    weight cap.  The weight is always recomputed, never taken on trust.
+    weight cap.  The weight is always recomputed, never taken on trust.  A
+    failed part check is a map bug (:class:`IterationLimitError`); only the
+    weight cap, which valid inputs reach, raises :class:`PartitionError`.
     """
     buf.sort(reverse=True)
     total = sum(buf)
     if type(total) is not int or (buf and buf[-1] < 1):
-        _checked_weight(tuple(buf))  # raises the public constructor's message
+        try:
+            _checked_weight(tuple(buf))
+        except PartitionError as exc:
+            raise _invariant_broken("a map output", exc) from exc
     if total > MAX_WEIGHT:
         raise _too_heavy(total)
     lam = object.__new__(Partition)

@@ -49,6 +49,7 @@ from .core import (
     DomainError,
     IterationLimitError,
     Partition,
+    PartitionError,
     _check_nonnegative,
     _conjugate_parts,
     _durfee_size,
@@ -530,25 +531,30 @@ def negate_crank(lam: Partition) -> Partition:
 
     * ``w == 0``: drop the largest part and append that many 1s.
     * ``w > 0, t == 0``: prepend a part ``w`` and drop all the 1s.
-    * ``w > 0, t > 0``: rebuild from the conjugate, splitting its first column
-      at ``r = max(w, part(2) - 1)`` and appending ``t`` trailing 1s.
+    * ``w > 0, t > 0``: with ``c(i)`` the length of column ``i`` of the Young
+      diagram and ``r = max(w, part(2) - 1)``, the parts ``c(2) + part(1) - r``,
+      ``c(i) + 1`` for ``2 <= i <= w`` and ``c(i)`` for ``w + 2 <= i <= r + 1``,
+      then ``t == c(w + 1)`` trailing 1s.
     """
     if lam._weight <= 1:
         raise DomainError("defined only for partitions of weight at least 2")
     parts = lam._parts
     ones = parts.count(1)
     if ones == 0:
-        return Partition(parts[1:] + (1,) * parts[0])
-    tall = lam.count_above(ones)
-    if tall == 0:
-        return Partition((ones,) + parts[: len(parts) - ones])
-    r = max(ones, parts[1] - 1)
-    conj = _conjugate_parts(parts[: len(parts) - ones])  # the 1s add only to conj[0]
-    buf = [conj[1] + parts[0] - r]
-    buf.extend([c + 1 for c in conj[1:ones]])
-    buf.extend(conj[ones + 1 : r + 1])
-    buf.extend([1] * tall)
-    return Partition(buf)
+        out = parts[1:] + (1,) * parts[0]
+    elif parts[0] <= ones:  # t == 0
+        out = (ones,) + parts[: len(parts) - ones]
+    else:
+        r = max(ones, parts[1] - 1)
+        conj = _conjugate_parts(parts[: len(parts) - ones])  # the 1s add only to conj[0]
+        out = [conj[1] + parts[0] - r]
+        out.extend([c + 1 for c in conj[1:ones]])
+        out.extend(conj[ones + 1 : r + 1])
+        out.extend([1] * lam.count_above(ones))
+    try:  # the output is checked, not sorted: a misordered one is a bug
+        return Partition(out)
+    except PartitionError as exc:
+        raise _invariant_broken("negate_crank", exc) from exc
 
 
 def mex_to_crank(j: int, lam: Partition) -> Partition:

@@ -471,6 +471,22 @@ def _never_steps(j, k, odd, parts):
     return None
 
 
+_real_fold_move = cli.maps._fold_move
+_real_conjugate_parts = cli.maps._conjugate_parts
+
+
+def _fold_move_adding_a_zero(j, k, odd, parts):
+    move = _real_fold_move(j, k, odd, parts)
+    if move is None or move[3] is None:
+        return move
+    case, d, new_k, buf = move
+    return case, d, new_k, buf + [0]
+
+
+def _ascending_conjugate(parts):
+    return sorted(_real_conjugate_parts(parts))
+
+
 @pytest.mark.parametrize(
     "patched,replacement,argv,cause",
     [
@@ -484,13 +500,20 @@ def _never_steps(j, k, odd, parts):
         ("_from_low_crank", lambda j, lam: lam,
          ("map", "crank-to-mex", "12,10,8,7,6,5,5,1", "--j", "5"),
          "crank_to_mex broke an internal invariant: "),
+        ("_fold_move", _fold_move_adding_a_zero,
+         ("map", "fold", "11,8,7,7,5,5,4,3,2,2", "--j", "1"),
+         "a map output broke an internal invariant: part #9 must be positive, got 0"),
+        ("_conjugate_parts", _ascending_conjugate, ("map", "negate-crank", "9,5,2,1"),
+         "negate_crank broke an internal invariant: parts must be non-increasing"),
     ],
-    ids=["map-mex-to-crank", "table", "map-unfold", "map-crank-to-mex"],
+    ids=["map-mex-to-crank", "table", "map-unfold", "map-crank-to-mex", "map-fold",
+         "map-negate-crank"],
 )
 def test_broken_invariant_inside_a_map_exits_three(
     capsys, monkeypatch, patched, replacement, argv, cause
 ):
-    # past a map's entry checks a DomainError is a bug, not a bad input
+    # past a map's entry checks a DomainError is a bug, not a bad input, and
+    # so is a map output that fails its own check
     monkeypatch.setattr(cli.maps, patched, replacement)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")

@@ -7,6 +7,7 @@ from crankmex import (
     MAX_WEIGHT,
     DomainError,
     DurfeeTriple,
+    IterationLimitError,
     Partition,
     PartitionError,
     mex_join,
@@ -88,9 +89,9 @@ def test_long_rejection_messages_name_the_first_bad_part():
 
 
 def test_constructor_agrees_with_the_part_by_part_check():
-    # the constructor accepts a long sequence through checks that run in C and
-    # a short one in a Python pass, falling back to _checked_weight on any
-    # failure; both paths must accept and reject alike
+    # the constructor accepts a sequence of any length through checks that
+    # run in C and falls back to _checked_weight on any failure; the two must
+    # accept and reject alike
     class Count(int):
         pass
 
@@ -301,14 +302,15 @@ class _FloatSum(int):
     "parts,total", [([_FloatSum(2), 1], "3.0"), ([_FloatSum(2)] * 30, "60.0")]
 )
 def test_parts_that_do_not_sum_to_an_int_are_rejected_alike(parts, total):
-    # the constructor (short and long paths) and _sealed raise the same message
+    # the constructor blames the input; _sealed, which only sees map outputs,
+    # reports the same message as a broken invariant
     message = f"parts do not sum to an integer: {total}"
     with pytest.raises(PartitionError) as info:
         Partition(parts)
     assert str(info.value) == message
-    with pytest.raises(PartitionError) as info:
+    with pytest.raises(IterationLimitError) as info:
         _sealed(list(parts))
-    assert str(info.value) == message
+    assert str(info.value) == f"a map output broke an internal invariant: {message}"
 
 
 def test_repr_and_iter():

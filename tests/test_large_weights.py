@@ -53,13 +53,17 @@ def _apply(name, j, lam, traces):
     return out
 
 
+def seeded_partitions():
+    """The 40 seeded uniform partitions of weight 200..1000 run here."""
+    sampler = _oracle().PartitionSampler(1000)
+    rng = random.Random(20221)
+    return [sampler.sample(rng.randint(200, 1000), rng) for _ in range(40)]
+
+
 def test_bijections_round_trip_at_large_weight():
     oracle = _oracle()
-    sampler = oracle.PartitionSampler(1000)
-    rng = random.Random(20221)
     entered = Counter()
-    for _ in range(40):
-        parts = sampler.sample(rng.randint(200, 1000), rng)
+    for parts in seeded_partitions():
         lam = Partition(parts)
         weight = sum(parts)
         for j in range(4):

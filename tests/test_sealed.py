@@ -5,7 +5,9 @@ sorts the buffer and so leaves out the order check of ``Partition(...)``.
 Patching it to "sort, then ``Partition(buf)``" switches every check back on;
 the outputs must not change.  ``negate_crank`` and ``conjugate`` keep the
 public constructor, whose order check catches a misordered buffer instead of
-sorting it away.
+sorting it away.  A map output that fails its check is a bug, so all three
+raise ``IterationLimitError`` for it; only the weight cap, which valid inputs
+can reach, stays a ``PartitionError``.
 """
 
 import random
@@ -17,6 +19,7 @@ import crankmex
 from crankmex import (
     MAX_WEIGHT,
     DomainError,
+    IterationLimitError,
     Partition,
     PartitionError,
     crank_to_mex,
@@ -95,7 +98,9 @@ def test_public_constructor_sites_do_not_use_sealed(monkeypatch):
     ],
 )
 def test_sealed_rejects_what_the_sort_cannot_guarantee(buf, message):
-    with pytest.raises(PartitionError, match=message):
+    # a bad part is a map bug; only the weight cap can come from valid inputs
+    error = PartitionError if message.startswith("weight") else IterationLimitError
+    with pytest.raises(error, match=message):
         _sealed(buf)
 
 
@@ -120,5 +125,5 @@ def test_negate_crank_raises_on_a_misordered_conjugate(monkeypatch, parts):
     monkeypatch.setattr(maps, "_conjugate_parts", ascending)
     lam = Partition(parts)
     assert lam.count(1) and lam.count_above(lam.count(1))  # both 1s and tall parts
-    with pytest.raises(PartitionError, match="must be non-increasing"):
+    with pytest.raises(IterationLimitError, match="must be non-increasing"):
         negate_crank(lam)
