@@ -185,20 +185,15 @@ class Trace(_TraceFields):
         return result
 
 
-# The two moves on the Durfee arms that every step map is made of.  Each
-# returns an unsorted buffer for the caller to finish and pass to _sealed.
-def _peel(parts: tuple[int, ...], d: int) -> list[int]:
-    """Delete ``part(d)`` and add 1 to each of the ``d - 1`` larger parts."""
-    buf = [p + 1 for p in parts[: d - 1]]
-    buf.extend(parts[d:])
-    return buf
-
-
-def _absorb(parts: tuple[int, ...], d: int, s: int) -> list[int]:
-    """Subtract 1 from each of the ``d`` largest parts and insert a part ``d + s``."""
-    buf = [p - 1 for p in parts[:d]]
-    buf.extend(parts[d:])
-    buf.append(d + s)
+# Every edit on the Durfee arms shifts rows first: it adds 1 to, or subtracts
+# 1 from, each of the d (or d - 1) largest parts.  Then it deletes, inserts or
+# replaces a few parts of the list this returns, which it leaves unsorted for
+# the caller to pass to _sealed.
+def _shifted(parts: tuple[int, ...], d: int, by: int) -> list[int]:
+    """The parts as a list, with ``by`` added to each of the ``d`` largest."""
+    buf = list(parts)
+    for i in range(d):  # no comprehension: before Python 3.12 it builds a closure per call
+        buf[i] += by
     return buf
 
 
@@ -212,13 +207,13 @@ def _fold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
         if d == 1:
             # largest part is exactly s + 1: the move would reproduce lam
             return FIXED_POINT, d, k, None
-        buf = _peel(parts, d)
-        buf.append(s + 1)
+        buf = _shifted(parts, d - 1, 1)
+        buf[d - 1] = s + 1  # in place of part(d)
         return 1, d, k, buf
     if not k:
         return None
-    buf = _absorb(parts, d, s)
-    buf.append(s - 1)
+    buf = _shifted(parts, d, -1)
+    buf += (d + s, s - 1)
     return 2, d, k - 1, buf
 
 
@@ -228,13 +223,14 @@ def _unfold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
         return None
     d = _durfee_size(parts, target)
     if d and parts[d - 1] - d == target:
-        buf = _peel(parts, d)
+        buf = _shifted(parts, d - 1, 1)
+        del buf[d - 1]  # part(d)
         buf.remove(target)
         return 1, d, k + 1, buf
     if d == 0:
         return FIXED_POINT, d, k, None
-    buf = _absorb(parts, d, target)
-    buf.remove(target)  # any copy: _sealed sorts the buffer
+    buf = _shifted(parts, d, -1)
+    buf[buf.index(target)] = d + target  # any copy: _sealed sorts the buffer
     return 2, d, k, buf
 
 
@@ -418,7 +414,9 @@ def _detach_step(j: int, lam: Partition) -> Partition:
     d = _durfee_size(parts, j)
     if not (d and parts[d - 1] - d == j):
         raise DomainError(f"{lam.to_text()!r} has no arm {j} to detach")
-    return _sealed(_peel(parts, d))
+    buf = _shifted(parts, d - 1, 1)
+    del buf[d - 1]  # part(d)
+    return _sealed(buf)
 
 
 def attach_step(j: int, lam: Partition) -> Partition:
@@ -433,7 +431,9 @@ def _attach_step(j: int, lam: Partition) -> Partition:
     d = _durfee_size(parts, s)
     if d and parts[d - 1] - d == s:
         raise DomainError(f"{lam.to_text()!r} has arm {s}; attaching requires it absent")
-    return _sealed(_absorb(parts, d, s))
+    buf = _shifted(parts, d, -1)
+    buf.append(d + s)
+    return _sealed(buf)
 
 
 def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
@@ -484,12 +484,10 @@ def _to_low_crank(j: int, lam: Partition) -> Partition:
     d = _durfee_size(parts, j)
     if d and parts[d - 1] - d == j:
         raise DomainError(f"{lam.to_text()!r} has arm {j}")
-    buf = [p - 1 for p in parts[:d]]
-    tail = list(parts[d:])
+    buf = _shifted(parts, d, -1)
     if j:
-        tail.remove(j)
-    buf.extend(tail)
-    buf.extend([1] * (d + j))
+        buf.remove(j)  # any copy: _sealed sorts the buffer
+    buf += [1] * (d + j)
     return _sealed(buf)
 
 
@@ -512,11 +510,10 @@ def _from_low_crank(j: int, lam: Partition) -> Partition:
         raise DomainError(f"{lam.to_text()!r} has crank {crank} > {-j}")
     parts = lam._parts
     d = _durfee_size(parts, j)
-    buf = [p + 1 for p in parts[:d]]
-    buf.extend(parts[d:])
     ones = d + j  # at least 1: weight above 1 makes d >= 1 when j == 0
-    if len(buf) < ones or buf[-ones] != 1:  # buf is non-increasing
+    if parts[d:].count(1) < ones:  # the 1s lie below the d rows to shift
         raise IterationLimitError("missing guaranteed trailing 1s (bug)")
+    buf = _shifted(parts, d, 1)
     del buf[-ones:]
     if j:
         buf.append(j)

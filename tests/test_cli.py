@@ -490,31 +490,35 @@ def _ascending_conjugate(parts):
 @pytest.mark.parametrize(
     "patched,replacement,argv,cause",
     [
-        ("_fold_move", _never_steps,
+        ("maps._fold_move", _never_steps,
          ("map", "mex-to-crank", "11,8,7,7,5,5,4,3,2,2", "--j", "0"),
          "mex_to_crank broke an internal invariant: '11,8,7,7,5,5,4,3,2,2' has arm 0"),
-        ("_fold_move", _never_steps, ("table", "--weight", "9", "--j", "0"),
+        ("maps._fold_move", _never_steps, ("table", "--weight", "9", "--j", "0"),
          "table row '7,2' broke an internal invariant: '7,2' has arm 0"),
-        ("_unfold_move", _never_steps, ("map", "unfold", "13,10,9,9,4,3,2,2,1,1"),
+        ("maps._unfold_move", _never_steps, ("map", "unfold", "13,10,9,9,4,3,2,2,1,1"),
          "unfold broke an internal invariant: rest must not contain the part 1"),
-        ("_from_low_crank", lambda j, lam: lam,
+        ("maps._from_low_crank", lambda j, lam: lam,
          ("map", "crank-to-mex", "12,10,8,7,6,5,5,1", "--j", "5"),
          "crank_to_mex broke an internal invariant: "),
-        ("_fold_move", _fold_move_adding_a_zero,
+        ("maps._fold_move", _fold_move_adding_a_zero,
          ("map", "fold", "11,8,7,7,5,5,4,3,2,2", "--j", "1"),
          "a map output broke an internal invariant: part #9 must be positive, got 0"),
-        ("_conjugate_parts", _ascending_conjugate, ("map", "negate-crank", "9,5,2,1"),
+        ("maps._conjugate_parts", _ascending_conjugate, ("map", "negate-crank", "9,5,2,1"),
          "negate_crank broke an internal invariant: parts must be non-increasing"),
+        # Partition.conjugate reads core's own binding, not the one maps imports
+        ("core._conjugate_parts", _ascending_conjugate, ("stats", "9,5,2,1"),
+         "conjugate broke an internal invariant: parts must be non-increasing: "
+         "part #5 (2) exceeds part #4 (1)\n"),
     ],
     ids=["map-mex-to-crank", "table", "map-unfold", "map-crank-to-mex", "map-fold",
-         "map-negate-crank"],
+         "map-negate-crank", "stats-conjugate"],
 )
 def test_broken_invariant_inside_a_map_exits_three(
     capsys, monkeypatch, patched, replacement, argv, cause
 ):
     # past a map's entry checks a DomainError is a bug, not a bad input, and
     # so is a map output that fails its own check
-    monkeypatch.setattr(cli.maps, patched, replacement)
+    monkeypatch.setattr(f"crankmex.{patched}", replacement)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith(f"internal error: IterationLimitError: {cause}")
