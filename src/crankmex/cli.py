@@ -7,6 +7,10 @@ and the aligned text is rendered from them.  Exit codes: 0 success / all
 checks pass, 1 domain or parse error or an unwritable output, 2 verification
 failure, 3 internal error (a broken invariant or any other exception: a bug,
 never a bad input).
+
+Only ``table`` and ``verify`` load :mod:`crankmex.verify`, and ``json`` is
+loaded only to print or write records, so ``stats``, ``map`` and ``trace``
+in text format start without either.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import json
 import os
 import sys
 
 from . import maps
-from .core import DomainError, Partition, PartitionError, _check_nonnegative, _invariant_broken
-from .verify import partitions_of, run_theorem_suite
+from .core import (
+    DomainError, Partition, PartitionError, _check_nonnegative, _invariant_broken, _parse_int,
+)
 
 __all__ = ["main"]
 
@@ -54,12 +58,20 @@ class _OutputError(Exception):
     """The ``--output`` path cannot be written: a user error, exit 1."""
 
 
+def _int(text: str) -> int:
+    """argparse type of an integer option: an optional sign, then ASCII digits."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _int_in(limit: int):
     """argparse type of an integer option that must lie in ``0..limit``."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _parse_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if not 0 <= value <= limit:
@@ -105,6 +117,8 @@ def _write_records(path: str, records: list[dict]) -> None:
     if not os.path.basename(path):  # "" or "dir/" names no file to write
         code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
         raise _cannot_write(path, OSError(code, os.strerror(code)))
+    import json
+
     text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     in_place = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
@@ -133,6 +147,8 @@ def _emit(args, lines: list[str], records: list[dict]) -> None:
     if args.output is not None:
         _write_records(args.output, records)
     if args.format == "records":
+        import json
+
         for record in records:
             print(json.dumps(record, sort_keys=True))
     else:
@@ -242,6 +258,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .verify import partitions_of
+
     weight, j = args.weight, args.j
     if weight < 2:
         raise DomainError("the crank correspondence assumes weight at least 2")
@@ -276,6 +294,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_theorem_suite
+
     report = run_theorem_suite(args.max_n, args.max_j)
     _emit(args, report.summary_lines(), report.to_records())
     return 0 if report.all_passed else 2
@@ -301,20 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="apply one bijection to one partition")
     p_map.add_argument("map", choices=_ALL_MAPS)
     p_map.add_argument("partition")
-    p_map.add_argument("--j", type=int, default=0)
+    p_map.add_argument("--j", type=_int, default=0)
     common(p_map)
     p_map.set_defaults(handler=_cmd_map)
 
     p_trace = sub.add_parser("trace", help="show the full iteration table of a staircase map")
     p_trace.add_argument("map", choices=sorted(_TRACED_MAPS))
     p_trace.add_argument("partition")
-    p_trace.add_argument("--j", type=int, default=0)
+    p_trace.add_argument("--j", type=_int, default=0)
     common(p_trace)
     p_trace.set_defaults(handler=_cmd_trace)
 
     p_table = sub.add_parser("table", help="full crank/mex correspondence at one weight")
-    p_table.add_argument("--weight", type=int, required=True)
-    p_table.add_argument("--j", type=int, default=0)
+    p_table.add_argument("--weight", type=_int, required=True)
+    p_table.add_argument("--j", type=_int, default=0)
     common(p_table)
     p_table.set_defaults(handler=_cmd_table)
 

@@ -52,6 +52,18 @@ def _check_nonnegative(name: str, value: int) -> None:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
 
 
+def _parse_int(text: str) -> int:
+    """``text`` read as an optional sign followed by ASCII digits; else ``ValueError``.
+
+    ``int`` alone would also take ``_`` separators, surrounding whitespace and
+    non-ASCII digits (``1_0``, ``٣``).
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _checked_weight(seq: tuple) -> int:
     """Weight of ``seq`` validated part by part; raises at the first bad part."""
     total = 0
@@ -203,7 +215,7 @@ class Partition:
         for pos, item in enumerate(text.split(","), 1):
             item = item.strip()
             try:
-                parts.append(int(item))
+                parts.append(_parse_int(item))
             except ValueError:
                 raise PartitionError(f"entry #{pos} is not an integer: {item!r}") from None
         return cls(parts)

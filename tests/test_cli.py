@@ -155,6 +155,18 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "stats", "2,3")
     assert code == 1
     assert "part #2" in err
+    # an integer is an optional sign and ASCII digits: ``int`` would read all of these
+    for argv, message in (
+        (("stats", "1_0"), "error: entry #1 is not an integer: '1_0'\n"),
+        (("stats", "\u0663,\u0662"), "error: entry #1 is not an integer: '\u0663'\n"),
+        (("map", "fold", "3,2", "--j", "1_0"), "argument --j: invalid int value: '1_0'\n"),
+        (("trace", "fold", "3,2", "--j", "\u0661"), "argument --j: invalid int value: '\u0661'\n"),
+        (("table", "--weight", "9_0"), "argument --weight: invalid int value: '9_0'\n"),
+        (("table", "--weight", "\u0669"), "argument --weight: invalid int value: '\u0669'\n"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.endswith(message), argv
 
 
 def test_map_composed(capsys):
@@ -261,7 +273,7 @@ def test_internal_exception_exits_three(capsys, monkeypatch, exc_type):
 
 
 @pytest.mark.parametrize("command", [["stats", "3,2"], ["verify", "--max-n", "3"]])
-@pytest.mark.parametrize("max_j", ["100000000", "-1", "1001", "x"])
+@pytest.mark.parametrize("max_j", ["100000000", "-1", "1001", "x", "1_0", "\u0663"])
 def test_max_j_out_of_range_exits_one_at_once(capsys, command, max_j):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *command, "--max-j", max_j)
@@ -271,7 +283,7 @@ def test_max_j_out_of_range_exits_one_at_once(capsys, command, max_j):
     assert "--max-j" in err
 
 
-@pytest.mark.parametrize("max_n", [str(cli.MAX_VERIFY_WEIGHT + 1), "-1", "x"])
+@pytest.mark.parametrize("max_n", [str(cli.MAX_VERIFY_WEIGHT + 1), "-1", "x", "1_0", "\u0663"])
 def test_verify_max_n_out_of_range_exits_one_at_once(capsys, max_n):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--max-n", max_n)
@@ -437,7 +449,7 @@ def test_failed_output_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     failing = VerificationReport(3, 0, [CheckResult("demo", 3, 0, "fail", "2,1", "boom")])
-    monkeypatch.setattr(cli, "run_theorem_suite", lambda max_n, max_j: failing)
+    monkeypatch.setattr("crankmex.verify.run_theorem_suite", lambda max_n, max_j: failing)
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--max-j", "0")
     assert code == 2
     assert "FAIL demo" in out

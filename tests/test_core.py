@@ -55,6 +55,11 @@ def test_rejects_non_integers():
         Partition((2.5,))
     with pytest.raises(PartitionError, match="entry #2"):
         Partition.from_text("3,x")
+    # only an optional sign and ASCII digits: no "_" separator, no other digits
+    for text in ("3,1_0", "3,\u0662", "3,\u00b2", "3,+-1"):
+        with pytest.raises(PartitionError, match="entry #2 is not an integer"):
+            Partition.from_text(text)
+    assert Partition.from_text("+3, 2 ") == Partition((3, 2))
 
 
 @pytest.mark.parametrize(

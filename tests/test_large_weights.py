@@ -6,6 +6,7 @@ partitions come from ``perfbench/oracle.py``, which does not import crankmex,
 and every image is classified by that file's own crank, mex and arm code.
 """
 
+import functools
 import importlib.util
 import random
 from collections import Counter
@@ -53,11 +54,16 @@ def _apply(name, j, lam, traces):
     return out
 
 
+@functools.cache
 def seeded_partitions():
-    """The 40 seeded uniform partitions of weight 200..1000 run here."""
+    """The 40 seeded uniform partitions of weight 200..1000 run here.
+
+    Built once per session (the sampler's tables take a few tenths of a
+    second) and returned as a tuple of tuples, so no caller can change them.
+    """
     sampler = _oracle().PartitionSampler(1000)
     rng = random.Random(20221)
-    return [sampler.sample(rng.randint(200, 1000), rng) for _ in range(40)]
+    return tuple(sampler.sample(rng.randint(200, 1000), rng) for _ in range(40))
 
 
 def test_bijections_round_trip_at_large_weight():

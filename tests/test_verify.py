@@ -295,17 +295,27 @@ def test_reports_do_not_share_results():
 
 def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
     # compared with a snapshot taken before the import, so what site loads
-    # at start-up does not count
+    # at start-up does not count; then the per-partition commands, in text
+    # format, must not load the suite's module or json either
     code = (
-        "import sys; before = set(sys.modules); import crankmex.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import crankmex.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [crankmex.cli.main(argv) for argv in (\n"
+        "        ['trace', 'fold', '11,8,7,7,5,5,4,3,2,2', '--j', '1'],\n"
+        "        ['map', 'mex-to-crank', '11,8,7,7,5,5,4,3,2,2'],\n"
+        "        ['stats', '11,8,7,7,5,5,4,3,2,2'],\n"
+        "    )]\n"
+        "print(codes, sorted({'crankmex.verify', 'json'} & (set(sys.modules) - before)))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     ).stdout
-    assert out == "[]\n"
+    assert out == "[]\n[0, 0, 0] []\n"
 
 
 def test_suite_bounds_validation():
