@@ -28,10 +28,11 @@ States (:class:`PairState`), trace steps (:class:`TraceStep`) and traces
 (:class:`Trace`) are named tuples, so they compare and hash by their fields
 and equal the plain tuple of them; ``len(trace)`` counts the steps.
 
-Every public map checks its ``j`` exactly once, first, at its own entry.
-After that it runs on unchecked code only: the private bodies of the arm
-maps here, and the kernels ``_mex_split``, ``_mex_join`` and ``_has_arm`` of
-:mod:`crankmex.core`.  The step loop itself checks nothing.
+Every public map checks its ``j`` first, at its own entry.  The four that
+run a public arm map (the complement maps, :func:`mex_to_crank` and
+:func:`crank_to_mex`) check it once more there; the rest is unchecked code:
+the step moves, and the kernels ``_mex_split``, ``_mex_join`` and
+``_has_arm`` of :mod:`crankmex.core`.  The step loop itself checks nothing.
 
 Each direction has one move, ``_fold_move`` and ``_unfold_move``, on the bare
 fields ``(j, k, odd, parts)`` of a state.  One Durfee scan (fold) or one
@@ -348,10 +349,10 @@ def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
     return end, tuple.__new__(Trace, ("unfold", state, end, tuple(steps)))
 
 
-# Each public map below checks its j once, at its entry, and then calls only
-# unchecked code: the private bodies of the arm maps, the start states, and
-# the kernels of core.  A start state checks the domain and builds its
-# PairState without the checks of __new__; odd=True starts the complement maps.
+# Each public map below checks its j first, at its entry; the four that run a
+# public arm map check it once more there.  The start states and the kernels of
+# core check no j.  A start state checks the domain and builds its PairState
+# without the checks of __new__; odd=True starts the complement maps.
 # Once the entry checks have passed, a DomainError from a later stage is a
 # bug, and the map re-raises it as IterationLimitError (_invariant_broken).
 def _fold_start(j: int, lam: Partition, odd: bool = False) -> PairState:
@@ -368,7 +369,7 @@ def _fold_start(j: int, lam: Partition, odd: bool = False) -> PairState:
 
 def _unfold_start(j: int, lam: Partition, odd: bool = False) -> PairState:
     if odd:
-        lam = _detach_step(j, lam)
+        lam = detach_step(j, lam)
     elif _has_arm(lam._parts, j):
         raise DomainError(f"{lam.to_text()!r} has arm {j}; unfolding requires it absent")
     return tuple.__new__(PairState, (j, 0, lam, odd))
@@ -406,10 +407,6 @@ def detach_step(j: int, lam: Partition) -> Partition:
     Exact inverse of :func:`attach_step`.
     """
     _check_nonnegative("j", j)
-    return _detach_step(j, lam)
-
-
-def _detach_step(j: int, lam: Partition) -> Partition:
     parts = lam._parts
     d = _durfee_size(parts, j)
     if not (d and parts[d - 1] - d == j):
@@ -422,10 +419,6 @@ def _detach_step(j: int, lam: Partition) -> Partition:
 def attach_step(j: int, lam: Partition) -> Partition:
     """Inverse of :func:`detach_step`: absorb the one-part staircase ``(j+1,)``."""
     _check_nonnegative("j", j)
-    return _attach_step(j, lam)
-
-
-def _attach_step(j: int, lam: Partition) -> Partition:
     parts = lam._parts
     s = j + 1
     d = _durfee_size(parts, s)
@@ -447,7 +440,7 @@ def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
     _check_nonnegative("j", j)
     end, trace = fold_pair(_fold_start(j, lam, True))
     try:
-        return _attach_step(j, end.lam), trace
+        return attach_step(j, end.lam), trace
     except DomainError as exc:
         raise _invariant_broken("fold_complement", exc) from exc
 
@@ -472,10 +465,6 @@ def to_low_crank(j: int, lam: Partition) -> Partition:
     exact inverse :func:`from_low_crank`.
     """
     _check_nonnegative("j", j)
-    return _to_low_crank(j, lam)
-
-
-def _to_low_crank(j: int, lam: Partition) -> Partition:
     if lam._weight <= 1:
         raise DomainError("defined only for partitions of weight at least 2")
     parts = lam._parts
@@ -499,10 +488,6 @@ def from_low_crank(j: int, lam: Partition) -> Partition:
     exist: crank at most ``-j`` forces at least ``d + j`` of them.
     """
     _check_nonnegative("j", j)
-    return _from_low_crank(j, lam)
-
-
-def _from_low_crank(j: int, lam: Partition) -> Partition:
     if lam._weight <= 1:
         raise DomainError("defined only for partitions of weight at least 2")
     crank = lam.crank()
@@ -569,7 +554,7 @@ def mex_to_crank(j: int, lam: Partition) -> Partition:
     start = _fold_start(j, lam)
     try:
         end = _iterate(start, _fold_move, "fold")
-        return negate_crank(_to_low_crank(j, end.lam))
+        return negate_crank(to_low_crank(j, end.lam))
     except DomainError as exc:
         raise _invariant_broken("mex_to_crank", exc) from exc
 
@@ -582,7 +567,7 @@ def crank_to_mex(j: int, lam: Partition) -> Partition:
         raise DomainError(f"{lam.to_text()!r} has crank {crank} < {j}")
     low = negate_crank(lam)
     try:
-        mu = _from_low_crank(j, low)
+        mu = from_low_crank(j, low)
         end = _iterate(_unfold_start(j, mu), _unfold_move, "unfold")
         return _mex_join(j, 2 * end.k, end.lam)
     except DomainError as exc:

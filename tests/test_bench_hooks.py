@@ -68,6 +68,33 @@ def test_traced_maps_reach_the_iterated_maps_through_the_module(monkeypatch):
         assert calls == [expected], fn.__name__
 
 
+def test_composites_reach_their_arm_maps_through_the_module(monkeypatch):
+    # A composite that ran an arm map's body another way would keep a fault
+    # or a tracer span placed on the arm map's public name from its stage.
+    calls = []
+
+    def counting(name):
+        original = getattr(maps, name)
+
+        def wrapper(j, lam):
+            calls.append(name)
+            return original(j, lam)
+
+        return wrapper
+
+    for name in ("detach_step", "attach_step", "to_low_crank", "from_low_crank"):
+        monkeypatch.setattr(maps, name, counting(name))
+    for fn, lam, expected in (
+        (maps.unfold_complement, Partition((4, 3, 3, 3)), "detach_step"),
+        (maps.fold_complement, Partition((4, 4, 3, 2)), "attach_step"),
+        (maps.mex_to_crank, Partition((3, 3, 2, 1)), "to_low_crank"),
+        (maps.crank_to_mex, Partition((4, 4, 1)), "from_low_crank"),
+    ):
+        calls.clear()
+        fn(1, lam)
+        assert calls == [expected], fn.__name__
+
+
 def test_tracer_reads_step_counts_and_cap_from_a_trace():
     tracer = _tracer()
     recorder = tracer.Tracer(lib=None)

@@ -324,6 +324,42 @@ def test_verify_accepts_the_max_j_cap(capsys):
     assert "all checks passed" in out
 
 
+def _hook(weight):
+    # (m + 1, 1^m) or (m, 1^m): under unfold at j = 0 it takes (weight - 1) // 2
+    # steps, the most any input of its weight takes
+    return ",".join([str(weight - weight // 2)] + ["1"] * (weight // 2))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("map", name) for name in cli._ALL_MAPS] + [("trace", name) for name in sorted(cli._TRACED_MAPS)],
+    ids="-".join,
+)
+def test_map_and_trace_reject_a_weight_over_the_bound_at_once(capsys, monkeypatch, command):
+    def no_map_runs(*args):
+        raise AssertionError("a map ran on an input over the bound")
+
+    for table in (cli._TRACED_MAPS, cli._PLAIN_MAPS):
+        for name in table:
+            monkeypatch.setitem(table, name, no_map_runs)
+    monkeypatch.setattr(cli.maps, "negate_crank", no_map_runs)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, _hook(cli.MAX_MAP_WEIGHT + 1), "--j", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: map and trace accept weight at most {cli.MAX_MAP_WEIGHT}, "
+        f"got {cli.MAX_MAP_WEIGHT + 1}\n"
+    )
+
+
+def test_map_unfold_accepts_the_worst_input_at_the_bound(capsys):
+    code, out, err = run_cli(capsys, "map", "unfold", _hook(cli.MAX_MAP_WEIGHT), "--j", "0")
+    assert (code, err) == (0, "")
+    output = out.splitlines()[2].split()[1]
+    assert Partition.from_text(output).weight == cli.MAX_MAP_WEIGHT
+
+
 def test_verify_small_bounds(capsys, tmp_path):
     out_path = tmp_path / "report.jsonl"
     code, out, _ = run_cli(
@@ -509,7 +545,7 @@ def _ascending_conjugate(parts):
          "table row '7,2' broke an internal invariant: '7,2' has arm 0"),
         ("maps._unfold_move", _never_steps, ("map", "unfold", "13,10,9,9,4,3,2,2,1,1"),
          "unfold broke an internal invariant: rest must not contain the part 1"),
-        ("maps._from_low_crank", lambda j, lam: lam,
+        ("maps.from_low_crank", lambda j, lam: lam,
          ("map", "crank-to-mex", "12,10,8,7,6,5,5,1", "--j", "5"),
          "crank_to_mex broke an internal invariant: "),
         ("maps._fold_move", _fold_move_adding_a_zero,

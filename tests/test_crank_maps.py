@@ -233,7 +233,7 @@ def _never_steps(j, k, odd, parts):
     "name,patched,replacement,j,source,cause",
     [
         ("mex_to_crank", "_fold_move", _never_steps, 0, "11,8,7,7,5,5,4,3,2,2", "has arm 0"),
-        ("crank_to_mex", "_from_low_crank", lambda j, lam: lam, 5, "12,10,8,7,6,5,5,1",
+        ("crank_to_mex", "from_low_crank", lambda j, lam: lam, 5, "12,10,8,7,6,5,5,1",
          "has arm 5; unfolding requires it absent"),
         ("unfold", "_unfold_move", _never_steps, 0, "13,10,9,9,4,3,2,2,1,1",
          "rest must not contain the part 1"),

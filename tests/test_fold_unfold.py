@@ -371,6 +371,27 @@ def test_iteration_cap_boundary(keep_trace, extra):
     assert len(calls) == cap + 1
 
 
+def test_the_longest_run_at_weight_n_takes_half_of_n_minus_one_steps():
+    # the law behind the CLI's map weight bound: over every input of weight
+    # n >= 1 and j <= 8, the four traced maps take at most (n - 1) // 2 steps,
+    # and some input takes exactly that many
+    calls = 0
+    for n in range(1, 21):
+        longest = 0
+        for lam in partitions_of(n):
+            for j in range(9):
+                odd, arm = lam.has_odd_mex(j), lam.has_arm(j)
+                for fn, in_domain in (
+                    (fold, odd), (fold_complement, not odd),
+                    (unfold, not arm), (unfold_complement, arm),
+                ):
+                    if in_domain:
+                        calls += 1
+                        longest = max(longest, len(fn(j, lam)[1]))
+        assert longest == (n - 1) // 2, n
+    assert calls == 48834
+
+
 def test_zero_run_starts_never_split(monkeypatch):
     # the split side's one zero-run shortcut: with no part j + 1, fold and
     # mex_to_crank start from (empty staircase, lam) without calling _mex_split
