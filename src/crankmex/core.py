@@ -122,16 +122,18 @@ def _mex(parts: tuple[int, ...], j: int) -> int:
 def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
     """Parts of the conjugate of the non-increasing ``parts``, as a list.
 
-    Built from run lengths: walking up from the smallest part, the ``i``
-    largest parts are exactly those at least ``v`` for every ``v`` in
-    ``(part(i+1), part(i)]``.
+    Built from run lengths: walking up from the smallest part, with ``i``
+    counting down from the number of parts, the ``i`` largest parts are
+    exactly those at least ``v`` for every ``v`` in ``(part(i+1), part(i)]``.
     """
     cols: list[int] = []
     below = 0
-    for i, p in zip(range(len(parts), 0, -1), reversed(parts)):
+    i = len(parts)
+    for p in reversed(parts):
         if p > below:
-            cols.extend([i] * (p - below))
+            cols += [i] * (p - below)
             below = p
+        i -= 1
     return cols
 
 
@@ -375,7 +377,9 @@ def _mex_split(j: int, lam: Partition) -> MexDecomposition:
     buf = list(lam._parts)
     for v in range(j + 1, j + run + 1):
         buf.remove(v)
-    return MexDecomposition(j, run, _sealed(buf))
+    # tuple.__new__ skips the named tuple's Python-level __new__, as the maps'
+    # PairState and Trace do
+    return tuple.__new__(MexDecomposition, (j, run, _sealed(buf)))
 
 
 def mex_join(j: int, run: int, rest: Partition) -> Partition:

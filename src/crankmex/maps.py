@@ -36,14 +36,18 @@ the step moves, and the kernels ``_mex_split``, ``_mex_join`` and
 
 Each direction has one move, ``_fold_move`` and ``_unfold_move``, on the bare
 fields ``(j, k, odd, parts)`` of a state.  One Durfee scan (fold) or one
-membership test (unfold) decides both whether the state is terminal and
-which case applies.  :func:`fold_step` and :func:`unfold_step` wrap a move in
-a :class:`StepResult`; the iterated maps loop on the move itself and build a
-:class:`PairState` per step only when they keep a trace.
+binary search for the part ``s + 1`` (unfold) decides whether the state is
+terminal; the Durfee scan also decides which case applies, and the unfold
+move edits the part its search found in place.  :func:`fold_step` and
+:func:`unfold_step` wrap a move in a :class:`StepResult`; the iterated maps
+loop on the move itself and build a :class:`PairState` per step only when
+they keep a trace.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import neg
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -220,18 +224,21 @@ def _fold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
 
 def _unfold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
     target = j + 2 * k + (2 if odd else 1)  # the staircase top + 1
-    if target not in parts:
+    at = bisect_left(parts, -target, key=neg)  # the first copy of target, if any
+    if at == len(parts) or parts[at] != target:
         return None
+    # Each of the d largest parts exceeds target (part(i) >= i + target), so
+    # at >= d: the row shift leaves buf[at] == target.
     d = _durfee_size(parts, target)
     if d and parts[d - 1] - d == target:
         buf = _shifted(parts, d - 1, 1)
+        del buf[at]  # at > d - 1, so part(d) keeps its index
         del buf[d - 1]  # part(d)
-        buf.remove(target)
         return 1, d, k + 1, buf
     if d == 0:
         return FIXED_POINT, d, k, None
     buf = _shifted(parts, d, -1)
-    buf[buf.index(target)] = d + target  # any copy: _sealed sorts the buffer
+    buf[at] = d + target
     return 2, d, k, buf
 
 
@@ -516,7 +523,9 @@ def negate_crank(lam: Partition) -> Partition:
     * ``w > 0, t > 0``: with ``c(i)`` the length of column ``i`` of the Young
       diagram and ``r = max(w, part(2) - 1)``, the parts ``c(2) + part(1) - r``,
       ``c(i) + 1`` for ``2 <= i <= w`` and ``c(i)`` for ``w + 2 <= i <= r + 1``,
-      then ``t == c(w + 1)`` trailing 1s.
+      then ``t == c(w + 1)`` trailing 1s.  The columns come from the conjugate
+      of the parts above 1 (the 1s add only to ``c(1)``), and ``t`` is read
+      from it as ``c(w + 1)``.
     """
     if lam._weight <= 1:
         raise DomainError("defined only for partitions of weight at least 2")
@@ -530,9 +539,9 @@ def negate_crank(lam: Partition) -> Partition:
         r = max(ones, parts[1] - 1)
         conj = _conjugate_parts(parts[: len(parts) - ones])  # the 1s add only to conj[0]
         out = [conj[1] + parts[0] - r]
-        out.extend([c + 1 for c in conj[1:ones]])
-        out.extend(conj[ones + 1 : r + 1])
-        out.extend([1] * lam.count_above(ones))
+        out += map((1).__add__, conj[1:ones])  # no comprehension, as in _shifted
+        out += conj[ones + 1 : r + 1]
+        out += [1] * conj[ones]  # t == c(w + 1)
     try:  # the output is checked, not sorted: a misordered one is a bug
         return Partition(out)
     except PartitionError as exc:

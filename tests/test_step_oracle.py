@@ -26,9 +26,14 @@ from crankmex.maps import (
     _unfold_move,
     attach_step,
     detach_step,
+    fold,
+    fold_complement,
     fold_step,
+    unfold,
+    unfold_complement,
     unfold_step,
 )
+from test_large_weights import seeded_partitions
 
 MAX_PAIR_WEIGHT = 16
 MAX_J = 3
@@ -213,3 +218,48 @@ def test_detach_and_attach_match_the_reference():
                     assert out.parts == expected, (name, j, parts)
                     assert out.weight == sum(expected)
     assert min(seen.values()) > 100, seen
+
+
+def _check_trace(trace, ref, j, odd):
+    """Every step of ``trace`` is the reference step; the reference stops at its end."""
+    cur = trace.start
+    for step in trace.steps:
+        assert step.before == cur
+        before = step.before
+        expected = ref(j, before.k, before.lam.parts, odd)
+        assert expected is not None, (j, before)
+        case, d, k_after, parts_after = expected
+        assert (step.case, step.d) == (case, d), (j, before, step)
+        after = step.after
+        assert (after.j, after.k, after.odd) == (j, k_after, odd), (j, before, step)
+        assert after.lam.parts == parts_after, (j, before)
+        assert after.lam.weight == sum(parts_after)
+        cur = after
+    assert trace.end == cur
+    assert ref(j, cur.k, cur.lam.parts, odd) is None, (j, cur)
+    return [step.case for step in trace.steps]
+
+
+def test_every_step_on_long_partitions_matches_the_reference():
+    # the states above stop at pair weight MAX_PAIR_WEIGHT; these runs edit
+    # partitions of weight 200..1000 step by step, both ways
+    cases = Counter()
+    runs = 0
+    for parts in seeded_partitions():
+        lam = Partition(parts)
+        for j in range(MAX_J + 1):
+            odd = not lam.has_odd_mex(j)  # an even mex offset folds onto an odd staircase
+            forward, backward = (fold_complement, unfold_complement) if odd else (fold, unfold)
+            cases[forward.__name__] += 1
+            image, trace = forward(j, lam)
+            for case in _check_trace(trace, ref_fold, j, odd):
+                cases["fold", case] += 1
+            back, trace = backward(j, image)
+            assert back == lam, (j, parts)
+            for case in _check_trace(trace, ref_unfold, j, odd):
+                cases["unfold", case] += 1
+            runs += 1
+    assert runs == 160 and cases["fold"] and cases["fold_complement"], cases
+    for direction in ("fold", "unfold"):
+        for case in (1, 2):
+            assert cases[direction, case] > 20, cases
