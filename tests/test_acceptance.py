@@ -1,8 +1,9 @@
 """Acceptance suite: one test per exit criterion, every tolerance exact.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-pass lines.  The heavyweight theorem run (weights to 25, j to 12) is shared
-between the criteria that need it.
+pass lines.  The heavyweight theorem run (weights to 25, j to 12) is one
+``crankmex verify`` call, whose exit status, text and written records are
+shared between the criteria that need it.
 """
 
 import hashlib
@@ -23,7 +24,6 @@ from crankmex import (
     negate_crank,
     odd_mex_series,
     partitions_of,
-    run_theorem_suite,
     to_low_crank,
     unfold,
     unfold_step,
@@ -46,8 +46,14 @@ def report_line(number, label):
 
 
 @pytest.fixture(scope="module")
-def full_report():
-    return run_theorem_suite(25, 12)
+def suite_run(tmp_path_factory):
+    """``(exit code, printed text, records)`` of ``crankmex verify`` at the full bounds."""
+    path = tmp_path_factory.mktemp("verify") / "records.jsonl"
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["verify", "--max-n", "25", "--max-j", "12", "--output", str(path)])
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return code, buf.getvalue(), records
 
 
 def test_criterion_1_fold_iteration_tables():
@@ -108,12 +114,13 @@ def test_criterion_3_weight9_correspondence():
     report_line(3, "weight-9 four-column correspondence, 16 rows")
 
 
-def test_criterion_4_exhaustive_theorem_suite(full_report):
-    assert full_report.all_passed, full_report.summary_lines()
+def test_criterion_4_exhaustive_theorem_suite(suite_run):
+    _, text, records = suite_run
+    assert all(r["status"] != "fail" for r in records), text
     tally = {}
-    for result in full_report.results:
-        cell = tally.setdefault(result.name, {"pass": 0, "fail": 0, "skip": 0})
-        cell[result.status] += 1
+    for record in records:
+        cell = tally.setdefault(record["name"], {"pass": 0, "fail": 0, "skip": 0})
+        cell[record["status"]] += 1
     per_cell = 26 * 13  # weights 0..25 times j 0..12
     for name in (
         "count-odd-mex-vs-arm-free",
@@ -133,8 +140,8 @@ def test_criterion_4_exhaustive_theorem_suite(full_report):
         # weights 0 and 1 sit below the theorem hypothesis and are skipped
         assert tally[name] == {"pass": per_cell - 26, "fail": 0, "skip": 26}, name
     # order, names, statuses and notes of all 3458 records, pinned byte for byte
-    records = json.dumps(full_report.to_records(), sort_keys=True).encode()
-    assert hashlib.sha256(records).hexdigest() == SUITE_RECORDS_SHA256
+    pinned = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(pinned).hexdigest() == SUITE_RECORDS_SHA256
     report_line(4, "theorem suite, weights to 25, j to 12, bijective witnesses")
 
 
@@ -189,11 +196,12 @@ def test_criterion_7_series_oracle():
     report_line(7, "q-series coefficients vs enumeration, n to 40, j to 8")
 
 
-def test_criterion_8_termination_under_cap(full_report):
+def test_criterion_8_termination_under_cap(suite_run):
     # the suite itself exercises every fold/unfold domain element; a cap
     # breach raises and would have produced a fail record
-    assert full_report.all_passed
-    assert not any("IterationLimitError" in r.note for r in full_report.results)
+    _, _, records = suite_run
+    assert all(r["status"] != "fail" for r in records)
+    assert not any("IterationLimitError" in r["note"] for r in records)
     # direct sweep: every trace stays under its cap
     for n in range(26):
         for lam in partitions_of(n):
@@ -266,11 +274,9 @@ def _check_state(state):
             assert back.case != FIXED_POINT and back.state == state
 
 
-def test_criterion_8b_cli_verify_exit_status():
+def test_criterion_8b_cli_verify_exit_status(suite_run):
     # the CLI gate over the full suite: exit 0, never the internal-error code 3
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli.main(["verify", "--max-n", "25", "--max-j", "12"])
+    code, text, _ = suite_run
     assert code == 0
-    assert "all checks passed" in buf.getvalue()
+    assert "all checks passed" in text
     report_line("8b", "cli verify exits 0 at full bounds")

@@ -1,20 +1,24 @@
 """Exact images of ``negate_crank``, the low-crank pair and the composites against references.
 
-The references are written from the docstrings and work on plain tuples; they
-import nothing from crankmex.  ``negate_crank``'s third case reads the column
-lengths of the Young diagram, counted cell by cell; the low-crank pair goes
-through the shifted Durfee size ``d`` at ``j`` from its definition.  The other
-tests of these maps check a few reference rows and properties (weight, crank,
-involution, Durfee size) that a different map with the same properties would
-also pass; this compares every image.  ``mex_to_crank`` and ``crank_to_mex``
-are compared with compositions of these references, the mex split written
-from its definition and the reference fold and unfold steps of
-``test_step_oracle``, so their images rest on no crankmex code.
+The references, in ``references.py``, are written from the definitions on
+plain tuples and import nothing from crankmex.  ``negate_crank``'s third case
+reads the column lengths of the Young diagram, counted cell by cell; the
+low-crank pair goes through the shifted Durfee size ``d`` at ``j`` from its
+definition.  The other tests of these maps check a few reference rows and
+properties (weight, crank, involution, Durfee size) that a different map with
+the same properties would also pass; this compares every image.
+``mex_to_crank`` and ``crank_to_mex`` are compared with compositions of these
+references with the reference fold and unfold runs, so their images rest on
+no crankmex code.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -27,117 +31,19 @@ from crankmex import (
     negate_crank,
     to_low_crank,
 )
-from test_large_weights import seeded_partitions
-from test_step_oracle import (
-    _durfee,
-    _has_arm,
-    _moved,
-    _part,
+from references import (
     _partitions,
-    ref_fold,
-    ref_unfold,
+    ref_crank,
+    ref_crank_to_mex,
+    ref_from_low_crank,
+    ref_mex_to_crank,
+    ref_negate_crank,
+    ref_to_low_crank,
+    seeded_partitions,
 )
 
 MAX_WEIGHT = 20
 MAX_J = 8
-
-
-def ref_crank(parts: tuple) -> int:
-    w = parts.count(1)
-    if w == 0:
-        return parts[0] if parts else 0
-    return sum(1 for p in parts if p > w) - w
-
-
-def _columns(parts: tuple) -> Counter:
-    """Column lengths of the Young diagram of ``parts``, counted cell by cell."""
-    cols = Counter()
-    for row in parts:
-        for i in range(1, row + 1):
-            cols[i] += 1
-    return cols
-
-
-def ref_negate_crank(parts: tuple):
-    """``(case, image)`` with ``w`` the number of 1s and ``t`` the parts above ``w``."""
-    w = parts.count(1)
-    if w == 0:
-        return "w=0", parts[1:] + (1,) * parts[0]
-    t = sum(1 for p in parts if p > w)
-    if t == 0:
-        return "t=0", (w,) + tuple(p for p in parts if p != 1)
-    c = _columns(parts)
-    assert c[w + 1] == t
-    r = max(w, _part(parts, 2) - 1)
-    image = [c[2] + _part(parts, 1) - r]
-    image += [c[i] + 1 for i in range(2, w + 1)]
-    image += [c[i] for i in range(w + 2, r + 2)]
-    image += [1] * t
-    return "t>0", tuple(image)
-
-
-def ref_to_low_crank(j: int, parts: tuple):
-    """None outside the domain: weight below 2, no part ``j >= 1``, or arm ``j``."""
-    if sum(parts) < 2 or (j and j not in parts) or _has_arm(parts, j):
-        return None
-    d = _durfee(parts, j)
-    return _moved(parts, (d, -1), delete=[j] if j else [], insert=[1] * (d + j))
-
-
-def ref_from_low_crank(j: int, parts: tuple):
-    """None outside the domain: weight below 2 or crank above ``-j``."""
-    if sum(parts) < 2 or ref_crank(parts) > -j:
-        return None
-    d = _durfee(parts, j)
-    ones = d + j
-    assert parts[len(parts) - ones :] == (1,) * ones  # the guaranteed trailing 1s
-    return _moved(parts[: len(parts) - ones], (d, +1), insert=[j] if j else [])
-
-
-def ref_mex_split(j: int, parts: tuple) -> tuple[int, tuple]:
-    """``(run, rest)``: the parts ``j + 1, ..., j + run`` all occur, ``j + run + 1`` does not."""
-    run = 0
-    while j + run + 1 in parts:
-        run += 1
-    return run, _moved(parts, (0, 0), delete=range(j + 1, j + run + 1))
-
-
-def ref_run(step, j: int, k: int, parts: tuple) -> tuple[int, tuple]:
-    """The end ``(k, parts)`` of the reference steps from the staircase of length ``2k``.
-
-    Bounded by the pair weight plus 1, and failing on a fixed state.
-    """
-    m = 2 * k
-    for _ in range(m * (m + 1) // 2 + j * m + sum(parts) + 1):
-        moved = step(j, k, parts, False)
-        if moved is None:
-            return k, parts
-        case, _, k, parts = moved
-        assert case in (1, 2), ("fixed state", step.__name__, j, k, parts)
-    raise AssertionError(("reference run did not stop", step.__name__, j, parts))
-
-
-def ref_mex_to_crank(j: int, parts: tuple):
-    """None outside the domain: weight below 2, no part ``j >= 1``, or an even mex offset."""
-    if sum(parts) < 2 or (j and j not in parts):
-        return None
-    run, rest = ref_mex_split(j, parts)
-    if run % 2:  # the mex offset is run + 1
-        return None
-    _, folded = ref_run(ref_fold, j, run // 2, rest)
-    low = ref_to_low_crank(j, folded)
-    assert low is not None, (j, parts, folded)  # arm-free, with the part j kept
-    return ref_negate_crank(low)[1]
-
-
-def ref_crank_to_mex(j: int, parts: tuple):
-    """None outside the domain: weight below 2 or crank below ``j``."""
-    if sum(parts) < 2 or ref_crank(parts) < j:
-        return None
-    low = ref_from_low_crank(j, ref_negate_crank(parts)[1])
-    assert low is not None and not _has_arm(low, j), (j, parts, low)
-    k, rest = ref_run(ref_unfold, j, 0, low)
-    return _moved(rest, (0, 0), insert=range(j + 1, j + 2 * k + 1))
 
 
 def _check_negation(parts: tuple) -> str:
@@ -206,3 +112,18 @@ def test_composites_match_the_composed_references():
                 entered["mex_to_crank", to_crank] += 1
                 entered["crank_to_mex", to_mex] += 1
     assert min(entered.values()) > 1000, entered
+
+
+def test_the_references_load_no_crankmex_module():
+    # crankmex is importable in the child, so only the references keep it out
+    code = (
+        "import sys, references\n"
+        "references.load_oracle()\n"
+        "print([m for m in sys.modules if m.partition('.')[0] == 'crankmex'])\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "tests"), str(root / "src")))),
+    ).stdout
+    assert out == "[]\n"

@@ -1,20 +1,16 @@
 """The bijections at weights 200..1000, checked by an oracle outside crankmex.
 
 The other map tests use small partitions (enumerations to weight about 25,
-Hypothesis draws of at most nine parts up to 15).  Here seeded uniform
-partitions come from ``perfbench/oracle.py``, which does not import crankmex,
-and every image is classified by that file's own crank, mex and arm code.
+Hypothesis draws of at most nine parts up to 15).  Here the seeded uniform
+partitions of ``references.py`` come from the sampler in
+``perfbench/oracle.py``, which does not import crankmex, and every image is
+classified by that file's own crank, mex and arm code.
 """
 
-import functools
-import importlib.util
-import random
 from collections import Counter
-from pathlib import Path
 
 from crankmex import Partition, maps
-
-ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+from references import load_oracle, seeded_partitions
 
 # (forward, backward, domain, codomain); each pair is also run backward first
 PAIRS = (
@@ -23,13 +19,6 @@ PAIRS = (
     ("to_low_crank", "from_low_crank", "arm_free_with_part", "low_crank"),
     ("mex_to_crank", "crank_to_mex", "odd_mex_with_part", "high_crank"),
 )
-
-
-def _oracle():
-    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _classes(oracle, parts, j):
@@ -54,20 +43,8 @@ def _apply(name, j, lam, traces):
     return out
 
 
-@functools.cache
-def seeded_partitions():
-    """The 40 seeded uniform partitions of weight 200..1000 run here.
-
-    Built once per session (the sampler's tables take a few tenths of a
-    second) and returned as a tuple of tuples, so no caller can change them.
-    """
-    sampler = _oracle().PartitionSampler(1000)
-    rng = random.Random(20221)
-    return tuple(sampler.sample(rng.randint(200, 1000), rng) for _ in range(40))
-
-
 def test_bijections_round_trip_at_large_weight():
-    oracle = _oracle()
+    oracle = load_oracle()
     entered = Counter()
     for parts in seeded_partitions():
         lam = Partition(parts)

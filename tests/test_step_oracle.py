@@ -1,17 +1,15 @@
-"""Single steps of the staircase maps against a reference written from their docstrings.
+"""The step maps, the arm maps and the four traced maps against the references.
 
-The reference works on plain tuples: ``d`` comes from the definition of the
-shifted Durfee size (the unique ``i`` with ``part(i) - i >= j > part(i+1) -
-(i+1)``, where ``part(0)`` is infinite and ``part(i)`` is 0 past the last
-part), and every delete, insert and shift is done on a ``collections.Counter``
-of the parts.  Criterion 9 checks invariants and round trips only, which a
-wrong but self-consistent pair of maps would pass; this compares the exact
-output of every step.
+The references, in ``references.py``, are written from the definitions on
+plain tuples and import nothing from crankmex.  Criterion 9 checks invariants
+and round trips only, which a wrong but self-consistent pair of maps would
+pass; this compares the exact output of every step, and the image, direction,
+start state and every step of each trace of ``fold``, ``unfold``,
+``fold_complement`` and ``unfold_complement``.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 import pytest
@@ -33,93 +31,21 @@ from crankmex.maps import (
     unfold_complement,
     unfold_step,
 )
-from test_large_weights import seeded_partitions
+from references import (
+    _partitions,
+    ref_attach,
+    ref_detach,
+    ref_fold,
+    ref_folded,
+    ref_unfold,
+    ref_unfolded,
+    seeded_partitions,
+)
 
 MAX_PAIR_WEIGHT = 16
 MAX_J = 3
-
-
-def _partitions(n: int, cap: int | None = None):
-    cap = n if cap is None else cap
-    if n == 0:
-        yield ()
-        return
-    for head in range(min(n, cap), 0, -1):
-        for tail in _partitions(n - head, head):
-            yield (head,) + tail
-
-
-def _part(parts: tuple, i: int):
-    if i == 0:
-        return math.inf
-    return parts[i - 1] if i <= len(parts) else 0
-
-
-def _durfee(parts: tuple, j: int) -> int:
-    i = 0
-    while not (_part(parts, i) - i >= j > _part(parts, i + 1) - (i + 1)):
-        i += 1
-    return i
-
-
-def _has_arm(parts: tuple, j: int) -> bool:
-    d = _durfee(parts, j)
-    return d >= 1 and _part(parts, d) - d == j
-
-
-def _moved(parts: tuple, shift_top: tuple[int, int], delete=(), insert=()) -> tuple:
-    """``parts`` with the ``count`` largest shifted by ``delta``, then deletes and inserts."""
-    count, delta = shift_top
-    bag = Counter(parts)
-    for i in range(1, count + 1):
-        bag[_part(parts, i)] -= 1
-        bag[_part(parts, i) + delta] += 1
-    for value in delete:
-        bag[value] -= 1
-    for value in insert:
-        bag[value] += 1
-    assert all(c >= 0 for c in bag.values()), "deleted a part that is not there"
-    return tuple(sorted(bag.elements(), reverse=True))
-
-
-def ref_fold(j: int, k: int, parts: tuple, odd: bool):
-    """``(case, d, k, parts)`` of one fold step, or None on a terminal state."""
-    s = j + 2 * k + odd
-    d = _durfee(parts, s)
-    if _has_arm(parts, s):
-        if d == 1:
-            return FIXED_POINT, d, k, parts
-        return 1, d, k, _moved(parts, (d - 1, +1), delete=[_part(parts, d)], insert=[s + 1])
-    if k == 0:
-        return None
-    return 2, d, k - 1, _moved(parts, (d, -1), insert=[d + s, s - 1])
-
-
-def ref_unfold(j: int, k: int, parts: tuple, odd: bool):
-    """``(case, d, k, parts)`` of one unfold step, or None on a terminal state."""
-    target = j + 2 * k + odd + 1
-    if target not in parts:
-        return None
-    d = _durfee(parts, target)
-    if _has_arm(parts, target):
-        return 1, d, k + 1, _moved(parts, (d - 1, +1), delete=[_part(parts, d), target])
-    if d == 0:
-        return FIXED_POINT, d, k, parts
-    return 2, d, k, _moved(parts, (d, -1), delete=[target], insert=[d + target])
-
-
-def ref_detach(j: int, parts: tuple):
-    if not _has_arm(parts, j):
-        return None
-    d = _durfee(parts, j)
-    return _moved(parts, (d - 1, +1), delete=[_part(parts, d)])
-
-
-def ref_attach(j: int, parts: tuple):
-    if _has_arm(parts, j + 1):
-        return None
-    d = _durfee(parts, j + 1)
-    return _moved(parts, (d, -1), insert=[j + 1 + d])
+MAX_MAP_WEIGHT = 14
+MAX_MAP_J = 4
 
 
 def _states():
@@ -137,20 +63,21 @@ def _states():
                 k += 1
 
 
+def _outcome(case, d, after, j, odd):
+    """A step's ``(case, d, k, parts)``, as the references give it; checks the rest of ``after``."""
+    assert (after.j, after.odd, after.lam.weight) == (j, odd, sum(after.lam.parts)), after
+    return case, d, after.k, after.lam.parts
+
+
 def _check_step(step, expected, j, k, parts, odd):
     state = PairState(j, k, Partition(parts), odd=odd)
     if expected is None:
         with pytest.raises(DomainError):
             step(state)
         return "terminal"
-    case, d, k_after, parts_after = expected
     result = step(state)
-    assert (result.case, result.d) == (case, d), (state, result)
-    after = result.state
-    assert (after.j, after.k, after.odd) == (j, k_after, odd), (state, result)
-    assert after.lam.parts == parts_after, (state, result)
-    assert after.lam.weight == sum(parts_after)
-    return case
+    assert _outcome(result.case, result.d, result.state, j, odd) == expected, (state, result)
+    return result.case
 
 
 def test_fold_and_unfold_steps_match_the_reference():
@@ -220,46 +147,74 @@ def test_detach_and_attach_match_the_reference():
     assert min(seen.values()) > 100, seen
 
 
-def _check_trace(trace, ref, j, odd):
+# each traced map: (direction, reference step, composed reference, odd)
+TRACED = {
+    fold: ("fold", ref_fold, ref_folded, False),
+    fold_complement: ("fold", ref_fold, ref_folded, True),
+    unfold: ("unfold", ref_unfold, ref_unfolded, False),
+    unfold_complement: ("unfold", ref_unfold, ref_unfolded, True),
+}
+
+
+def _check_trace(trace, ref, direction, j, odd):
     """Every step of ``trace`` is the reference step; the reference stops at its end."""
     cur = trace.start
     for step in trace.steps:
-        assert step.before == cur
-        before = step.before
-        expected = ref(j, before.k, before.lam.parts, odd)
-        assert expected is not None, (j, before)
-        case, d, k_after, parts_after = expected
-        assert (step.case, step.d) == (case, d), (j, before, step)
-        after = step.after
-        assert (after.j, after.k, after.odd) == (j, k_after, odd), (j, before, step)
-        assert after.lam.parts == parts_after, (j, before)
-        assert after.lam.weight == sum(parts_after)
-        cur = after
+        assert (step.direction, step.before) == (direction, cur), (j, step)
+        expected = ref(j, cur.k, cur.lam.parts, odd)
+        assert _outcome(step.case, step.d, step.after, j, odd) == expected, (j, step)
+        cur = step.after
     assert trace.end == cur
     assert ref(j, cur.k, cur.lam.parts, odd) is None, (j, cur)
     return [step.case for step in trace.steps]
+
+
+def _check_map(fn, j: int, parts: tuple):
+    """``fn``'s image and its trace's cases at ``j``, checked; None where it rightly raises."""
+    direction, ref_step, ref_map, odd = TRACED[fn]
+    expected = ref_map(j, parts, odd)
+    if expected is None:
+        with pytest.raises(DomainError):
+            fn(j, Partition(parts))
+        return None
+    start, image = expected
+    out, trace = fn(j, Partition(parts))
+    first = trace.start
+    got = out.parts, trace.direction, (first.j, first.k, first.lam.parts, first.odd)
+    assert got == (image, direction, start), (fn.__name__, j, parts)
+    assert out.weight == sum(image)
+    return out, _check_trace(trace, ref_step, direction, j, odd)
+
+
+def test_traced_maps_match_the_composed_references():
+    # the images, the DomainError sets, and each trace's direction, start,
+    # steps and end of all four traced maps
+    entered = Counter()
+    for n in range(MAX_MAP_WEIGHT + 1):
+        for parts in _partitions(n):
+            for j in range(MAX_MAP_J + 1):
+                for fn in TRACED:
+                    entered[fn.__name__, _check_map(fn, j, parts) is not None] += 1
+    assert min(entered.values()) > 200 and len(entered) == 8, entered
 
 
 def test_every_step_on_long_partitions_matches_the_reference():
     # the states above stop at pair weight MAX_PAIR_WEIGHT; these runs edit
     # partitions of weight 200..1000 step by step, both ways
     cases = Counter()
-    runs = 0
     for parts in seeded_partitions():
-        lam = Partition(parts)
         for j in range(MAX_J + 1):
-            odd = not lam.has_odd_mex(j)  # an even mex offset folds onto an odd staircase
-            forward, backward = (fold_complement, unfold_complement) if odd else (fold, unfold)
-            cases[forward.__name__] += 1
-            image, trace = forward(j, lam)
-            for case in _check_trace(trace, ref_fold, j, odd):
-                cases["fold", case] += 1
-            back, trace = backward(j, image)
-            assert back == lam, (j, parts)
-            for case in _check_trace(trace, ref_unfold, j, odd):
-                cases["unfold", case] += 1
-            runs += 1
-    assert runs == 160 and cases["fold"] and cases["fold_complement"], cases
+            for forward, backward in ((fold, unfold), (fold_complement, unfold_complement)):
+                checked = _check_map(forward, j, parts)
+                if checked is None:  # the mex offset's parity picks one of the two
+                    continue
+                image, fold_cases = checked
+                back, unfold_cases = _check_map(backward, j, image.parts)
+                assert back.parts == parts, (forward.__name__, j, parts)
+                cases[forward.__name__] += 1
+                cases.update(("fold", case) for case in fold_cases)
+                cases.update(("unfold", case) for case in unfold_cases)
+    assert cases["fold"] + cases["fold_complement"] == 160 and cases["fold_complement"], cases
     for direction in ("fold", "unfold"):
         for case in (1, 2):
             assert cases[direction, case] > 20, cases
