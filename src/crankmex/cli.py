@@ -65,23 +65,15 @@ class _OutputError(Exception):
     """The ``--output`` path cannot be written: a user error, exit 1."""
 
 
-def _int(text: str) -> int:
-    """argparse type of an integer option: an optional sign, then ASCII digits."""
-    try:
-        return _parse_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _int_in(limit: int):
-    """argparse type of an integer option that must lie in ``0..limit``."""
+def _int(limit: int | None = None):
+    """argparse type: an optional sign, then ASCII digits; in ``0..limit`` if a limit is given."""
 
     def parse(text: str) -> int:
         try:
             value = _parse_int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if not 0 <= value <= limit:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if limit is not None and not 0 <= value <= limit:
             raise argparse.ArgumentTypeError(f"must lie in 0..{limit}, got {value}")
         return value
 
@@ -112,8 +104,8 @@ def _cannot_write(path: str, exc: OSError) -> _OutputError:
     return _OutputError(f"cannot write --output {path}: {exc.strerror or exc}")
 
 
-def _write_records(path: str, records: list[dict]) -> None:
-    """Write ``records`` to ``path`` as JSON lines.
+def _write_records(path: str, text: str) -> None:
+    """Write ``text``, the records as JSON lines, to ``path``.
 
     A regular file, or a new one, is written as a temporary file beside it
     that replaces it only when complete, so a failed run never leaves a
@@ -124,9 +116,6 @@ def _write_records(path: str, records: list[dict]) -> None:
     if not os.path.basename(path):  # "" or "dir/" names no file to write
         code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
         raise _cannot_write(path, OSError(code, os.strerror(code)))
-    import json
-
-    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     in_place = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
@@ -150,17 +139,18 @@ def _write_records(path: str, records: list[dict]) -> None:
 
 
 def _emit(args, lines: list[str], records: list[dict]) -> None:
-    # the file first, so an unwritable --output fails before anything is printed
-    if args.output is not None:
-        _write_records(args.output, records)
-    if args.format == "records":
+    if args.output is not None or args.format == "records":
         import json
 
-        for record in records:
-            print(json.dumps(record, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        json_lines = [json.dumps(record, sort_keys=True) for record in records]
+        # the file first, so an unwritable --output fails before anything is printed
+        if args.output is not None:
+            _write_records(args.output, "".join(line + "\n" for line in json_lines))
+        if args.format == "records":
+            lines = json_lines
+    # one print per line: a single write of them all can miss a closed pipe
+    for line in lines:
+        print(line)
 
 
 def _cmd_stats(args) -> int:
@@ -331,36 +321,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="print all statistics for one partition")
     p_stats.add_argument("partition")
-    p_stats.add_argument("--max-j", type=_int_in(MAX_J), default=8, help=f"0..{MAX_J}")
+    p_stats.add_argument("--max-j", type=_int(MAX_J), default=8, help=f"0..{MAX_J}")
     common(p_stats)
     p_stats.set_defaults(handler=_cmd_stats)
 
     p_map = sub.add_parser("map", help="apply one bijection to one partition")
     p_map.add_argument("map", choices=_ALL_MAPS)
     p_map.add_argument("partition")
-    p_map.add_argument("--j", type=_int, default=0)
+    p_map.add_argument("--j", type=_int(), default=0)
     common(p_map)
     p_map.set_defaults(handler=_cmd_map)
 
     p_trace = sub.add_parser("trace", help="show the full iteration table of a staircase map")
     p_trace.add_argument("map", choices=sorted(_TRACED_MAPS))
     p_trace.add_argument("partition")
-    p_trace.add_argument("--j", type=_int, default=0)
+    p_trace.add_argument("--j", type=_int(), default=0)
     common(p_trace)
     p_trace.set_defaults(handler=_cmd_trace)
 
     p_table = sub.add_parser("table", help="full crank/mex correspondence at one weight")
-    p_table.add_argument("--weight", type=_int, required=True)
-    p_table.add_argument("--j", type=_int, default=0)
+    p_table.add_argument("--weight", type=_int(), required=True)
+    p_table.add_argument("--j", type=_int(), default=0)
     common(p_table)
     p_table.set_defaults(handler=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the exhaustive theorem suite")
     p_verify.add_argument(
-        "--max-n", type=_int_in(MAX_VERIFY_WEIGHT), default=25, help=f"0..{MAX_VERIFY_WEIGHT}"
+        "--max-n", type=_int(MAX_VERIFY_WEIGHT), default=25, help=f"0..{MAX_VERIFY_WEIGHT}"
     )
     p_verify.add_argument(
-        "--max-j", type=_int_in(MAX_VERIFY_WEIGHT), default=12, help=f"0..{MAX_VERIFY_WEIGHT}"
+        "--max-j", type=_int(MAX_VERIFY_WEIGHT), default=12, help=f"0..{MAX_VERIFY_WEIGHT}"
     )
     common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)

@@ -66,7 +66,7 @@ def test_criterion_1_fold_iteration_tables():
             for s in trace.steps
         ]
         assert got == steps, f"trace mismatch at j={j}"
-        assert out.to_text() == stop[1]
+        assert (trace.end.k, out.to_text()) == stop[:2]
         step_counts[j] = len(trace)
     assert step_counts == {0: 2, 1: 4, 3: 3, 5: 0}
     for j in sorted(golden_data.FOLD_TRACES):
@@ -84,14 +84,15 @@ def test_criterion_2_low_crank_and_negation_tables():
         assert lam.durfee_size(j) == d
         out = to_low_crank(j, lam)
         assert out.to_text() == image
-        assert out.crank() == crank
+        assert out.crank() == crank == golden_data.crank_oracle(image)
     assert [r[4] for r in golden_data.LOW_CRANK_ROWS] == [-2, -3, -6]
     for source, ones, tall, image in golden_data.NEGATE_CRANK_ROWS:
         lam = P(source)
         assert (lam.count(1), lam.count_above(ones)) == (ones, tall)
         out = negate_crank(lam)
         assert out.to_text() == image
-        assert out.crank() == -lam.crank()
+        assert out.crank() == -lam.crank() == -golden_data.crank_oracle(source)
+        assert negate_crank(out) == lam
     report_line(2, "low-crank and crank-negation tables with crank annotations")
 
 
@@ -104,6 +105,8 @@ def test_criterion_3_weight9_correspondence():
         folded, _ = fold(0, lam)
         low = to_low_crank(0, folded)
         final = negate_crank(low)
+        assert low.crank() <= 0 <= final.crank()
+        assert final == mex_to_crank(0, lam)
         got.append((lam.to_text(), folded.to_text(), low.to_text(), final.to_text()))
     assert got == golden_data.WEIGHT9_ROWS
     expected = (GOLDEN_DIR / "table_weight9_j0.txt").read_text(encoding="utf-8")

@@ -163,6 +163,8 @@ def test_parse_error_exit_code(capsys):
         (("trace", "fold", "3,2", "--j", "\u0661"), "argument --j: invalid int value: '\u0661'\n"),
         (("table", "--weight", "9_0"), "argument --weight: invalid int value: '9_0'\n"),
         (("table", "--weight", "\u0669"), "argument --weight: invalid int value: '\u0669'\n"),
+        (("stats", "3,2", "--max-j", "x"), "argument --max-j: invalid int value: 'x'\n"),
+        (("verify", "--max-n", "1_0"), "argument --max-n: invalid int value: '1_0'\n"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -470,17 +472,20 @@ def test_output_through_a_symlink_keeps_the_link(capsys, tmp_path):
 def test_failed_output_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
     path = tmp_path / "report.jsonl"
     path.write_text("old\n")
+    # an OSError is an unwritable output, anything else a bug; either way the
+    # temporary file is removed
+    for exc, code, err in (
+        (PermissionError(13, "Permission denied"), 1,
+         f"error: cannot write --output {path}: Permission denied\n"),
+        (RuntimeError("bug in the write"), 3, "internal error: RuntimeError: bug in the write\n"),
+    ):
+        def refuse(src, dst):
+            raise exc
 
-    def refuse(src, dst):
-        raise PermissionError(13, "Permission denied")
-
-    monkeypatch.setattr(os, "replace", refuse)
-    code, out, err = run_cli(capsys, "stats", "3", "--output", str(path))
-    assert code == 1
-    assert out == ""
-    assert err == f"error: cannot write --output {path}: Permission denied\n"
-    assert path.read_text() == "old\n"
-    assert os.listdir(tmp_path) == ["report.jsonl"]
+        monkeypatch.setattr(os, "replace", refuse)
+        assert run_cli(capsys, "stats", "3", "--output", str(path)) == (code, "", err)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["report.jsonl"]
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -322,6 +322,7 @@ def test_repr_and_iter():
     lam = P("5,3,2,2")
     assert repr(lam) == "Partition((5, 3, 2, 2))"
     assert repr(Partition()) == "Partition(())"
+    assert (str(lam), str(Partition())) == ("5,3,2,2", "")
     assert list(lam) == [5, 3, 2, 2]
     assert list(Partition()) == []
     assert Partition(iter(lam)) == lam

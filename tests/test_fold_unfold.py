@@ -136,22 +136,6 @@ def test_fixed_points_are_tagged():
 
 
 @pytest.mark.parametrize("j", sorted(golden_data.FOLD_TRACES))
-def test_fold_reproduces_reference_traces(j):
-    steps, stop = golden_data.FOLD_TRACES[j]
-    out, trace = fold(j, RUNNING)
-    assert len(trace) == len(steps)
-    for step, (k, lam, d, case, image) in zip(trace.steps, steps):
-        assert step.before.k == k
-        assert step.before.lam == P(lam)
-        assert step.d == d
-        assert step.case == case
-        assert step.after.lam == P(image)
-    stop_k, stop_lam, _ = stop
-    assert trace.end.k == stop_k
-    assert out == P(stop_lam)
-
-
-@pytest.mark.parametrize("j", sorted(golden_data.FOLD_TRACES))
 def test_fold_scans_once_per_step(monkeypatch, j):
     # one Durfee scan decides both "stop" and "which case": one per step
     # taken and one for the terminal state

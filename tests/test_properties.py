@@ -1,19 +1,13 @@
-"""Property tests: invariants of the statistics and conservation laws of the maps."""
+"""Property tests: invariants of the statistics and of the iterated maps' traces.
 
-import pytest
+The step maps' conservation laws, inversions and fixed points are checked
+over the enumerated state space by acceptance criterion 9.
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crankmex import (
-    FIXED_POINT,
-    PairState,
-    Partition,
-    fold_step,
-    mex_join,
-    mex_split,
-    partitions_of,
-    unfold_step,
-)
+from crankmex import PairState, Partition, mex_join, mex_split, partitions_of
 
 
 @st.composite
@@ -80,89 +74,6 @@ def test_low_crank_criterion(lam, j):
     assert (lam.crank() <= -j) == (lam.count(1) >= lam.durfee_size(j) + j)
 
 
-# -- step-map invariants over an enumerated state space -------------------------
-
-
-def pair_states(max_pair_weight, js=range(9), odd=False):
-    for j in js:
-        k = 0
-        while True:
-            m = 2 * k + (1 if odd else 0)
-            stair_weight = m * (m + 1) // 2 + j * m
-            if stair_weight > max_pair_weight:
-                break
-            for w in range(max_pair_weight - stair_weight + 1):
-                for lam in partitions_of(w):
-                    yield PairState(j, k, lam, odd=odd)
-            k += 1
-
-
-def fold_applicable(state):
-    return not (state.k == 0 and state.lam.avoids_arm(state.top))
-
-
-def unfold_applicable(state):
-    return bool(state.lam.count(state.top + 1))
-
-
-@pytest.mark.parametrize("odd", [False, True])
-def test_step_inversion_on_state_space(odd):
-    for state in pair_states(12, odd=odd):
-        if fold_applicable(state):
-            result = fold_step(state)
-            if result.case == FIXED_POINT:
-                continue
-            back = unfold_step(result.state)
-            assert back.state == state
-            assert back.case != FIXED_POINT
-        if unfold_applicable(state):
-            result = unfold_step(state)
-            if result.case == FIXED_POINT:
-                continue
-            back = fold_step(result.state)
-            assert back.state == state
-
-
-@pytest.mark.parametrize("odd", [False, True])
-def test_step_conservation_laws(odd):
-    for state in pair_states(12, odd=odd):
-        small = tuple(p for p in state.lam.parts if p <= state.j)
-        for applicable, stepper in (
-            (fold_applicable, fold_step),
-            (unfold_applicable, unfold_step),
-        ):
-            if not applicable(state):
-                continue
-            result = stepper(state)
-            if result.case == FIXED_POINT:
-                continue
-            after = result.state
-            assert after.pair_weight == state.pair_weight
-            assert after.staircase_len + len(after.lam) == state.staircase_len + len(state.lam)
-            assert tuple(p for p in after.lam.parts if p <= after.j) == small
-
-
-def test_fixed_point_characterization():
-    # fold fixes exactly the arm-bearing states with largest part top+1;
-    # unfold fixes exactly the states whose largest part equals top+1 with
-    # shifted Durfee size 0 at top+1
-    for state in pair_states(12):
-        if fold_applicable(state):
-            fixed = fold_step(state).case == FIXED_POINT
-            shape = (
-                state.lam.has_arm(state.top)
-                and state.lam.parts[0] == state.top + 1
-            )
-            assert fixed == shape
-        if unfold_applicable(state):
-            fixed = unfold_step(state).case == FIXED_POINT
-            shape = (
-                state.lam.durfee_size(state.top + 1) == 0
-                and state.lam.parts[0] == state.top + 1
-            )
-            assert fixed == shape
-
-
 def test_case_one_run_lengths():
     # from an arm-bearing state with largest part above top+1, the number of
     # consecutive case-1 folds equals the multiplicity of the arm part value
@@ -202,26 +113,6 @@ def _assert_run_structure(trace):
         assert run == expected
         end_state = steps[i - 1].after
         assert end_state.lam.avoids_arm(end_state.top)
-
-
-@pytest.mark.parametrize("j", [0, 1, 2])
-def test_traces_chain_correctly(j):
-    from crankmex import fold, unfold
-
-    for n in range(13):
-        for lam in partitions_of(n):
-            if lam.has_odd_mex(j):
-                _, trace = fold(j, lam)
-            else:
-                continue
-            if trace.steps:
-                assert trace.steps[0].before == trace.start
-                assert trace.steps[-1].after == trace.end
-            else:
-                assert trace.start == trace.end
-            for left, right in zip(trace.steps, trace.steps[1:]):
-                assert left.after == right.before
-                assert left.direction == trace.direction
 
 
 @settings(max_examples=60)

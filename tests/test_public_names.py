@@ -13,5 +13,6 @@ def test_package_names_are_the_submodule_names():
     assert len(names) == len(set(names)) == 37
     owners = {name: module for module in (core, maps, verify) for name in module.__all__}
     assert set(names) == owners.keys()
+    assert set(names) <= set(dir(crankmex))
     for name, module in owners.items():
         assert getattr(crankmex, name) is getattr(module, name), name
