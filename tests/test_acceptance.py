@@ -10,28 +10,33 @@ import hashlib
 import io
 import json
 import pathlib
-from contextlib import redirect_stdout
+from contextlib import redirect_stdout, suppress
 
 import pytest
 
 from crankmex import (
+    DomainError,
     PairState,
     Partition,
     crank_table,
     fold,
+    fold_complement,
     fold_step,
     mex_to_crank,
     negate_crank,
     odd_mex_series,
+    partition_series,
     partitions_of,
     to_low_crank,
     unfold,
+    unfold_complement,
     unfold_step,
     FIXED_POINT,
 )
 from crankmex import cli
 
 import golden_data
+from references import ref_crank
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SUITE_RECORDS_SHA256 = "ec82cdd83cb1fd3a92617ee98f03fe3b1c3435cc93ec01a3e199b525635bb20b"
@@ -39,6 +44,11 @@ SUITE_RECORDS_SHA256 = "ec82cdd83cb1fd3a92617ee98f03fe3b1c3435cc93ec01a3e199b525
 
 def P(text):
     return Partition.from_text(text)
+
+
+def plain(text):
+    """The parts of a non-empty partition text as a plain tuple, parsed without crankmex."""
+    return tuple(int(part) for part in text.split(","))
 
 
 def report_line(number, label):
@@ -84,14 +94,14 @@ def test_criterion_2_low_crank_and_negation_tables():
         assert lam.durfee_size(j) == d
         out = to_low_crank(j, lam)
         assert out.to_text() == image
-        assert out.crank() == crank == golden_data.crank_oracle(image)
+        assert out.crank() == crank == ref_crank(plain(image))
     assert [r[4] for r in golden_data.LOW_CRANK_ROWS] == [-2, -3, -6]
     for source, ones, tall, image in golden_data.NEGATE_CRANK_ROWS:
         lam = P(source)
         assert (lam.count(1), lam.count_above(ones)) == (ones, tall)
         out = negate_crank(lam)
         assert out.to_text() == image
-        assert out.crank() == -lam.crank() == -golden_data.crank_oracle(source)
+        assert out.crank() == -lam.crank() == -ref_crank(plain(source))
         assert negate_crank(out) == lam
     report_line(2, "low-crank and crank-negation tables with crank annotations")
 
@@ -166,9 +176,11 @@ def test_criterion_6_involution_and_crank_symmetry():
             assert image.crank() == -lam.crank()
             assert negate_crank(image) == lam
     table = crank_table(30)
+    counts = partition_series(30)
     assert sorted(table) == list(range(31))
-    for row in table.values():
-        assert row == {-m: c for m, c in row.items()}
+    for n, row in table.items():
+        assert row == {-m: c for m, c in row.items()}, n
+        assert sum(row.values()) == counts[n], n
     assert table[1].get(1, 0) == 1
     assert table[1].get(0, 0) == -1
     assert table[1].get(-1, 0) == 1
@@ -205,24 +217,27 @@ def test_criterion_8_termination_under_cap(suite_run):
     _, _, records = suite_run
     assert all(r["status"] != "fail" for r in records)
     assert not any("IterationLimitError" in r["note"] for r in records)
-    # direct sweep: every trace stays under its cap
+    # the step law, which cli.MAX_MAP_WEIGHT rests on: at weight n >= 1 the
+    # longest run of the four traced maps takes exactly (n - 1) // 2 steps,
+    # far below the cap; an even mex offset is outside fold's domain
+    accepted = []  # even offsets fold took; suppress costs less per call than pytest.raises
     for n in range(26):
+        longest = 0
         for lam in partitions_of(n):
             for j in range(13):
-                if lam.has_odd_mex(j):
-                    from crankmex import mex_split
-
-                    dec = mex_split(j, lam)
-                    start = PairState(j, dec.run // 2, dec.rest)
-                    _, trace = fold(j, lam)
-                    assert len(trace) <= 2 * start.pair_weight + 2 * start.k + 4
-                else:
-                    with pytest.raises(Exception):
+                odd = lam.has_odd_mex(j)
+                if not odd:
+                    with suppress(DomainError):
                         fold(j, lam)
-                if lam.avoids_arm(j):
-                    _, trace = unfold(j, lam)
-                    assert len(trace) <= 2 * lam.weight + 4
-    report_line(8, "termination under the hard iteration cap, no internal errors")
+                        accepted.append((j, lam))
+                # each input lies in the domain of one of fold and
+                # fold_complement, and of one of unfold and unfold_complement
+                _, folded = (fold if odd else fold_complement)(j, lam)
+                _, unfolded = (unfold_complement if lam.has_arm(j) else unfold)(j, lam)
+                longest = max(longest, len(folded), len(unfolded))
+        assert longest == max(0, (n - 1) // 2), n
+    assert not accepted
+    report_line(8, "step law (n - 1) // 2 to weight 25, far under the cap, no internal errors")
 
 
 def test_criterion_9_step_invariants_on_state_space():

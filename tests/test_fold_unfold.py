@@ -194,49 +194,6 @@ def test_fold_of_longer_staircase():
     assert fold(0, P("5,2,2,1"))[0] == P("4,3,2,1")
 
 
-# -- exhaustive round trips -------------------------------------------------------
-
-
-@pytest.mark.parametrize("j", [0, 1, 2, 5])
-def test_fold_round_trip_small_weights(j):
-    for n in range(15):
-        for lam in partitions_of(n):
-            if not lam.has_odd_mex(j):
-                continue
-            out, _ = fold(j, lam)
-            assert out.weight == n
-            assert out.avoids_arm(j)
-            back, _ = unfold(j, out)
-            assert back == lam
-
-
-@pytest.mark.parametrize("j", [0, 1, 2, 5])
-def test_unfold_round_trip_small_weights(j):
-    for n in range(15):
-        for lam in partitions_of(n):
-            if lam.has_arm(j):
-                continue
-            out, _ = unfold(j, lam)
-            assert out.weight == n
-            assert out.has_odd_mex(j)
-            forward, _ = fold(j, out)
-            assert forward == lam
-
-
-def test_fold_preserves_small_parts():
-    for n in range(13):
-        for lam in partitions_of(n):
-            for j in (0, 1, 2, 3):
-                if not lam.has_odd_mex(j):
-                    continue
-                out, _ = fold(j, lam)
-                assert tuple(p for p in lam.parts if p <= j) == tuple(
-                    p for p in out.parts if p <= j
-                )
-                if lam.has_part(j):
-                    assert out.has_part(j)
-
-
 def test_fold_rejects_even_mex_offset():
     with pytest.raises(DomainError):
         fold(2, P("5,3,2,2"))
@@ -274,19 +231,6 @@ def test_fold_complement_example():
     assert out.has_arm(2)
     back, _ = unfold_complement(2, out)
     assert back == P("5,3,2,2")
-
-
-def test_fold_complement_round_trip_weight_20():
-    # every even-mex-offset partition of weight up to 20 at j=2 round-trips
-    for n in range(21):
-        for lam in partitions_of(n):
-            if lam.has_odd_mex(2):
-                continue
-            out, _ = fold_complement(2, lam)
-            assert out.weight == n
-            assert out.has_arm(2)
-            back, _ = unfold_complement(2, out)
-            assert back == lam
 
 
 def test_complement_domain_errors():
@@ -353,27 +297,6 @@ def test_iteration_cap_boundary(keep_trace, extra):
         assert maps._iterate(start, move, "fold", steps) == start
         assert steps is None or len(steps) == cap
     assert len(calls) == cap + 1
-
-
-def test_the_longest_run_at_weight_n_takes_half_of_n_minus_one_steps():
-    # the law behind the CLI's map weight bound: over every input of weight
-    # n >= 1 and j <= 8, the four traced maps take at most (n - 1) // 2 steps,
-    # and some input takes exactly that many
-    calls = 0
-    for n in range(1, 21):
-        longest = 0
-        for lam in partitions_of(n):
-            for j in range(9):
-                odd, arm = lam.has_odd_mex(j), lam.has_arm(j)
-                for fn, in_domain in (
-                    (fold, odd), (fold_complement, not odd),
-                    (unfold, not arm), (unfold_complement, arm),
-                ):
-                    if in_domain:
-                        calls += 1
-                        longest = max(longest, len(fn(j, lam)[1]))
-        assert longest == (n - 1) // 2, n
-    assert calls == 48834
 
 
 def test_zero_run_starts_never_split(monkeypatch):
