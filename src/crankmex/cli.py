@@ -54,10 +54,10 @@ MAX_J = 1000
 MAX_VERIFY_WEIGHT = 40
 
 # Upper bound on the weight of a map or trace input.  A run at weight n takes
-# up to (n - 1) // 2 steps and each step copies and sorts every part, so time
-# and memory grow with the square of the weight.  At this bound the worst
-# input, a hook under unfold, takes 0.5 s and 63 MB peak RSS under map and
-# 2.3 s and 113 MB under trace (2 vCPU Xeon, Python 3.11).
+# up to (n - 1) // 2 steps, each copying and sorting every part, so time grows
+# with the square of the weight; memory does too under trace, which keeps each
+# step.  At this bound the worst input, a hook under unfold, takes 0.3 s and
+# 15 MB peak RSS under map, 2.0 s and 113 MB under trace (2 vCPU Xeon, Python 3.11).
 MAX_MAP_WEIGHT = 5000
 
 
@@ -199,11 +199,11 @@ def _map_input(text: str) -> Partition:
 
 
 def _apply_map(name: str, j: int, lam: Partition) -> Partition:
-    if name in _TRACED_MAPS:
-        return _TRACED_MAPS[name](j, lam)[0]
     if name in _PLAIN_MAPS:
         return _PLAIN_MAPS[name](j, lam)
-    _check_nonnegative("j", j)  # negate-crank takes no j; a bad one fails as elsewhere
+    _check_nonnegative("j", j)  # negate-crank takes no j and a body checks none
+    if name in _TRACED_MAPS:  # the map's body with no pair, which builds no trace
+        return (maps._unfolded if name[0] == "u" else maps._folded)(j, lam, "complement" in name)
     return maps.negate_crank(lam)
 
 

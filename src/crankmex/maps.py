@@ -12,8 +12,8 @@ them gives mutually inverse bijections between
 
 The complement maps :func:`fold_complement` / :func:`unfold_complement`, between
 even offsets and partitions with arm ``j``, are the odd-staircase case of the
-same run: they share the start states of :func:`fold` and :func:`unfold`
-(with ``odd=True``) and add one :func:`attach_step` or :func:`detach_step`.
+same run: they run the bodies of :func:`fold` and :func:`unfold` with
+``odd=True``, which add one :func:`attach_step` or :func:`detach_step`.
 On top of these sit :func:`to_low_crank` / :func:`from_low_crank`
 (trading the guaranteed part ``j`` and the Durfee slack for a batch of 1s,
 which forces the crank down to ``-j`` or below), the crank-negating involution
@@ -21,9 +21,10 @@ which forces the crank down to ``-j`` or below), the crank-negating involution
 :func:`crank_to_mex` that carries the odd-mex class with a part ``j`` onto the
 partitions of crank at least ``j``.
 
-Every function is pure.  Traces are built only by the maps that return
-them: :func:`fold_pair`, :func:`unfold_pair` and the four maps on top of
-them; :func:`mex_to_crank` and :func:`crank_to_mex` iterate without one.
+Every function is pure.  Each direction has one private body, ``_folded`` or
+``_unfolded``.  Only the four traced maps run it through :func:`fold_pair` or
+:func:`unfold_pair`, which build their traces; :func:`mex_to_crank`,
+:func:`crank_to_mex` and the CLI's ``map`` run it without one.
 States (:class:`PairState`), trace steps (:class:`TraceStep`) and traces
 (:class:`Trace`) are named tuples, so they compare and hash by their fields
 and equal the plain tuple of them; ``len(trace)`` counts the steps.
@@ -31,7 +32,7 @@ and equal the plain tuple of them; ``len(trace)`` counts the steps.
 Every public map checks its ``j`` first, at its own entry.  The four that
 run a public arm map (the complement maps, :func:`mex_to_crank` and
 :func:`crank_to_mex`) check it once more there; the rest is unchecked code:
-the step moves, and the kernels ``_mex_split``, ``_mex_join`` and
+the bodies, the step moves, and the kernels ``_mex_split``, ``_mex_join`` and
 ``_has_arm`` of :mod:`crankmex.core`.  The step loop itself checks nothing.
 
 Each direction has one move, ``_fold_move`` and ``_unfold_move``, on the bare
@@ -356,30 +357,45 @@ def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
     return end, tuple.__new__(Trace, ("unfold", state, end, tuple(steps)))
 
 
-# Each public map below checks its j first, at its entry; the four that run a
-# public arm map check it once more there.  The start states and the kernels of
-# core check no j.  A start state checks the domain and builds its PairState
-# without the checks of __new__; odd=True starts the complement maps.
-# Once the entry checks have passed, a DomainError from a later stage is a
-# bug, and the map re-raises it as IterationLimitError (_invariant_broken).
-def _fold_start(j: int, lam: Partition, odd: bool = False) -> PairState:
-    # The split side's one zero-run shortcut (_mex_split has none): with no
-    # part j + 1 the pair is (empty staircase, lam), and no split is built.
-    if not odd and j + 1 not in lam._parts:
-        return tuple.__new__(PairState, (j, 0, lam, False))
-    _, run, rest = _mex_split(j, lam)
+# One body per direction for the maps below, which check j first: it checks the
+# domain, builds the start state unchecked, runs the moves through ``pair`` or
+# else _iterate with no step list, and finishes.  A later DomainError is a bug,
+# re-raised as IterationLimitError naming the traced map or ``where``.
+def _folded(j: int, lam: Partition, odd: bool, pair=None):
+    # no part j + 1: the run is empty and no split is built (_mex_split has no shortcut)
+    run, rest = 0, lam
+    if odd or j + 1 in lam._parts:
+        _, run, rest = _mex_split(j, lam)
     if run % 2 != odd:
         parity = "even" if odd else "odd"
         raise DomainError(f"{lam.to_text()!r} does not have an {parity} mex offset at j={j}")
-    return tuple.__new__(PairState, (j, run // 2, rest, odd))
+    start = tuple.__new__(PairState, (j, run // 2, rest, odd))
+    if pair is None:
+        end = _iterate(start, _fold_move, "fold")
+    else:
+        end, trace = pair(start)
+    try:
+        out = attach_step(j, end.lam) if odd else end.lam
+    except DomainError as exc:
+        raise _invariant_broken("fold_complement", exc) from exc
+    return out if pair is None else (out, trace)
 
 
-def _unfold_start(j: int, lam: Partition, odd: bool = False) -> PairState:
+def _unfolded(j: int, lam: Partition, odd: bool, pair=None, where=None):
     if odd:
         lam = detach_step(j, lam)
     elif _has_arm(lam._parts, j):
         raise DomainError(f"{lam.to_text()!r} has arm {j}; unfolding requires it absent")
-    return tuple.__new__(PairState, (j, 0, lam, odd))
+    start = tuple.__new__(PairState, (j, 0, lam, odd))
+    if pair is None:
+        end = _iterate(start, _unfold_move, "unfold")
+    else:
+        end, trace = pair(start)
+    try:
+        out = _mex_join(j, 2 * end.k + odd, end.lam)
+    except DomainError as exc:
+        raise _invariant_broken(where or ("unfold_complement" if odd else "unfold"), exc) from exc
+    return out if pair is None else (out, trace)
 
 
 def fold(j: int, lam: Partition) -> tuple[Partition, Trace]:
@@ -391,18 +407,13 @@ def fold(j: int, lam: Partition) -> tuple[Partition, Trace]:
     most ``j`` are conserved, and :func:`unfold` is the exact inverse.
     """
     _check_nonnegative("j", j)
-    end, trace = fold_pair(_fold_start(j, lam))
-    return end.lam, trace
+    return _folded(j, lam, False, fold_pair)
 
 
 def unfold(j: int, lam: Partition) -> tuple[Partition, Trace]:
     """Inverse of :func:`fold`: rebuild the odd-mex partition from an arm-free one."""
     _check_nonnegative("j", j)
-    end, trace = unfold_pair(_unfold_start(j, lam))
-    try:
-        return _mex_join(j, 2 * end.k, end.lam), trace
-    except DomainError as exc:
-        raise _invariant_broken("unfold", exc) from exc
+    return _unfolded(j, lam, False, unfold_pair)
 
 
 def detach_step(j: int, lam: Partition) -> Partition:
@@ -445,21 +456,13 @@ def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
     arm ``j``.  Weight preserved; inverse :func:`unfold_complement`.
     """
     _check_nonnegative("j", j)
-    end, trace = fold_pair(_fold_start(j, lam, True))
-    try:
-        return attach_step(j, end.lam), trace
-    except DomainError as exc:
-        raise _invariant_broken("fold_complement", exc) from exc
+    return _folded(j, lam, True, fold_pair)
 
 
 def unfold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
     """Inverse of :func:`fold_complement`, entered from a partition with arm ``j``."""
     _check_nonnegative("j", j)
-    end, trace = unfold_pair(_unfold_start(j, lam, True))
-    try:
-        return _mex_join(j, 2 * end.k + 1, end.lam), trace
-    except DomainError as exc:
-        raise _invariant_broken("unfold_complement", exc) from exc
+    return _unfolded(j, lam, True, unfold_pair)
 
 
 def to_low_crank(j: int, lam: Partition) -> Partition:
@@ -560,10 +563,9 @@ def mex_to_crank(j: int, lam: Partition) -> Partition:
         raise DomainError("defined only for partitions of weight at least 2")
     if j and j not in lam._parts:
         raise DomainError(f"{lam.to_text()!r} has no part {j}")
-    start = _fold_start(j, lam)
+    folded = _folded(j, lam, False)
     try:
-        end = _iterate(start, _fold_move, "fold")
-        return negate_crank(to_low_crank(j, end.lam))
+        return negate_crank(to_low_crank(j, folded))
     except DomainError as exc:
         raise _invariant_broken("mex_to_crank", exc) from exc
 
@@ -576,8 +578,6 @@ def crank_to_mex(j: int, lam: Partition) -> Partition:
         raise DomainError(f"{lam.to_text()!r} has crank {crank} < {j}")
     low = negate_crank(lam)
     try:
-        mu = from_low_crank(j, low)
-        end = _iterate(_unfold_start(j, mu), _unfold_move, "unfold")
-        return _mex_join(j, 2 * end.k, end.lam)
+        return _unfolded(j, from_low_crank(j, low), False, where="crank_to_mex")
     except DomainError as exc:
         raise _invariant_broken("crank_to_mex", exc) from exc

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -303,7 +304,9 @@ def test_map_and_trace_reject_a_weight_over_the_bound_at_once(capsys, monkeypatc
     for table in (cli._TRACED_MAPS, cli._PLAIN_MAPS):
         for name in table:
             monkeypatch.setitem(table, name, no_map_runs)
-    monkeypatch.setattr(cli.maps, "negate_crank", no_map_runs)
+    # map runs the traced maps' bodies, with no trace
+    for name in ("negate_crank", "_folded", "_unfolded"):
+        monkeypatch.setattr(cli.maps, name, no_map_runs)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *command, _hook(cli.MAX_MAP_WEIGHT + 1), "--j", "0")
     assert time.perf_counter() - start < 1.0
@@ -315,8 +318,16 @@ def test_map_and_trace_reject_a_weight_over_the_bound_at_once(capsys, monkeypatc
 
 
 def test_map_unfold_accepts_the_worst_input_at_the_bound(capsys):
-    code, out, err = run_cli(capsys, "map", "unfold", _hook(cli.MAX_MAP_WEIGHT), "--j", "0")
+    argv = ("map", "unfold", _hook(cli.MAX_MAP_WEIGHT), "--j", "0")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert (code, err) == (0, "")
+    # map builds no trace: the run keeps one partition at a time, not one per step
+    assert peak < 4_000_000, peak
     output = out.splitlines()[2].split()[1]
     assert Partition.from_text(output).weight == cli.MAX_MAP_WEIGHT
 

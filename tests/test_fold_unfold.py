@@ -194,16 +194,6 @@ def test_fold_of_longer_staircase():
     assert fold(0, P("5,2,2,1"))[0] == P("4,3,2,1")
 
 
-def test_fold_rejects_even_mex_offset():
-    with pytest.raises(DomainError):
-        fold(2, P("5,3,2,2"))
-
-
-def test_unfold_rejects_arm_bearing_input():
-    with pytest.raises(DomainError):
-        unfold(0, P("7,2"))
-
-
 # -- complementary classes ---------------------------------------------------------
 
 

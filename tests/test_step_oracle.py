@@ -5,7 +5,10 @@ plain tuples and import nothing from crankmex.  Criterion 9 checks invariants
 and round trips only, which a wrong but self-consistent pair of maps would
 pass; this compares the exact output of every step, and the image, direction,
 start state and every step of each trace of ``fold``, ``unfold``,
-``fold_complement`` and ``unfold_complement``.
+``fold_complement`` and ``unfold_complement``.  Each of these maps' bodies,
+``_folded`` and ``_unfolded``, also runs without a trace, as ``mex_to_crank``,
+``crank_to_mex`` and ``crankmex map`` run it, and must give the same image or
+the same ``DomainError``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from crankmex.maps import (
     PairState,
     StepResult,
     _fold_move,
+    _folded,
     _iterate,
     _unfold_move,
+    _unfolded,
     attach_step,
     detach_step,
     fold,
@@ -69,22 +74,38 @@ def _outcome(case, d, after, j, odd):
     return case, d, after.k, after.lam.parts
 
 
-def _check_step(step, expected, j, k, parts, odd):
+def _rejection(call, *args):
+    """The message of the DomainError that ``call(*args)`` raises; None if it returns."""
+    try:  # a bare try: pytest.raises costs about twice as much per call
+        call(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def _check_step(step, expected, j, k, parts, odd, accepted):
+    """The step's case, checked; a terminal state it accepts goes to ``accepted``."""
     state = PairState(j, k, Partition(parts), odd=odd)
     if expected is None:
-        with pytest.raises(DomainError):
-            step(state)
+        if _rejection(step, state) is None:
+            accepted.append((step.__name__, state))
         return "terminal"
     result = step(state)
     assert _outcome(result.case, result.d, result.state, j, odd) == expected, (state, result)
     return result.case
 
 
+STEPS = (("fold", fold_step, ref_fold), ("unfold", unfold_step, ref_unfold))
+
+
 def test_fold_and_unfold_steps_match_the_reference():
     cases = Counter()
+    accepted = []
     for j, k, parts, odd in _states():
-        cases["fold", _check_step(fold_step, ref_fold(j, k, parts, odd), j, k, parts, odd)] += 1
-        cases["unfold", _check_step(unfold_step, ref_unfold(j, k, parts, odd), j, k, parts, odd)] += 1
+        for direction, step, ref in STEPS:
+            expected = ref(j, k, parts, odd)
+            cases[direction, _check_step(step, expected, j, k, parts, odd, accepted)] += 1
+    assert not accepted
     # both cases, the fixed point and the terminal state all occur in the scan
     for direction in ("fold", "unfold"):
         for case in (1, 2, FIXED_POINT, "terminal"):
@@ -169,16 +190,27 @@ def _check_trace(trace, ref, direction, j, odd):
     return [step.case for step in trace.steps]
 
 
-def _check_map(fn, j: int, parts: tuple):
-    """``fn``'s image and its trace's cases at ``j``, checked; None where it rightly raises."""
+def _check_map(fn, j: int, parts: tuple, accepted: list):
+    """``fn``'s image and its trace's cases at ``j``, checked; None where it rightly raises.
+
+    ``fn``'s body, run with no pair, must give the same image or the same
+    ``DomainError``; an input outside the domain that ``fn`` accepts goes to
+    ``accepted``.
+    """
     direction, ref_step, ref_map, odd = TRACED[fn]
+    body = _folded if direction == "fold" else _unfolded
+    lam = Partition(parts)
     expected = ref_map(j, parts, odd)
     if expected is None:
-        with pytest.raises(DomainError):
-            fn(j, Partition(parts))
+        message = _rejection(fn, j, lam)
+        if message is None:
+            accepted.append((fn.__name__, j, parts))
+        else:
+            assert _rejection(body, j, lam, odd) == message, (fn.__name__, j, parts)
         return None
     start, image = expected
-    out, trace = fn(j, Partition(parts))
+    out, trace = fn(j, lam)
+    assert body(j, lam, odd).parts == image, (fn.__name__, j, parts)
     first = trace.start
     got = out.parts, trace.direction, (first.j, first.k, first.lam.parts, first.odd)
     assert got == (image, direction, start), (fn.__name__, j, parts)
@@ -190,11 +222,13 @@ def test_traced_maps_match_the_composed_references():
     # the images, the DomainError sets, and each trace's direction, start,
     # steps and end of all four traced maps
     entered = Counter()
+    accepted = []
     for n in range(MAX_MAP_WEIGHT + 1):
         for parts in _partitions(n):
             for j in range(MAX_MAP_J + 1):
                 for fn in TRACED:
-                    entered[fn.__name__, _check_map(fn, j, parts) is not None] += 1
+                    entered[fn.__name__, _check_map(fn, j, parts, accepted) is not None] += 1
+    assert not accepted
     assert min(entered.values()) > 200 and len(entered) == 8, entered
 
 
@@ -202,18 +236,20 @@ def test_every_step_on_long_partitions_matches_the_reference():
     # the states above stop at pair weight MAX_PAIR_WEIGHT; these runs edit
     # partitions of weight 200..1000 step by step, both ways
     cases = Counter()
+    accepted = []
     for parts in seeded_partitions():
         for j in range(MAX_J + 1):
             for forward, backward in ((fold, unfold), (fold_complement, unfold_complement)):
-                checked = _check_map(forward, j, parts)
+                checked = _check_map(forward, j, parts, accepted)
                 if checked is None:  # the mex offset's parity picks one of the two
                     continue
                 image, fold_cases = checked
-                back, unfold_cases = _check_map(backward, j, image.parts)
+                back, unfold_cases = _check_map(backward, j, image.parts, accepted)
                 assert back.parts == parts, (forward.__name__, j, parts)
                 cases[forward.__name__] += 1
                 cases.update(("fold", case) for case in fold_cases)
                 cases.update(("unfold", case) for case in unfold_cases)
+    assert not accepted
     assert cases["fold"] + cases["fold_complement"] == 160 and cases["fold_complement"], cases
     for direction in ("fold", "unfold"):
         for case in (1, 2):
