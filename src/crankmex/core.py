@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import countOf, neg
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "MAX_WEIGHT",
@@ -94,7 +94,7 @@ def _invariant_broken(where: str, exc: ValueError) -> IterationLimitError:
     return IterationLimitError(f"{where} broke an internal invariant: {exc}")
 
 
-def _durfee_size(parts: tuple[int, ...], j: int) -> int:
+def _durfee_size(parts: Sequence[int], j: int) -> int:
     """Unchecked :meth:`Partition.durfee_size` for a validated ``j``."""
     d = 0
     for p in parts:
@@ -317,10 +317,13 @@ class Partition:
 def _sealed(buf: list) -> Partition:
     """Partition of the parts in ``buf``, which is sorted here in place.
 
-    For maps whose output parts come from integer arithmetic on the parts of
-    a partition already validated.  The sort sets the order, so unlike the
-    public constructor this does not walk the parts: it checks only what the
-    sort leaves open, a positive smallest part and an exact ``int`` weight
+    For maps whose output parts come from integer arithmetic on the parts of a
+    partition already validated.  They delete parts where they stand and put
+    new ones at the head of ``buf``: ``sort(reverse=True)`` reverses the list
+    first, so the untouched parts form one run, found in one linear pass, and
+    only the new ones are binary-inserted.  The sort sets the order, so unlike
+    the public constructor this does not walk the parts: it checks only what
+    the sort leaves open, a positive smallest part and an exact ``int`` weight
     (a float, ``Decimal`` or ``Fraction`` part makes the sum one), and the
     weight cap.  The weight is always recomputed, never taken on trust.  A
     failed part check is a map bug (:class:`IterationLimitError`); only the
@@ -404,6 +407,5 @@ def _mex_join(j: int, run: int, rest: Partition) -> Partition:
         )
     if run == 0:
         return rest
-    buf = list(rest._parts)
-    buf.extend(range(j + 1, j + run + 1))
+    buf = [*range(j + 1, j + run + 1), *rest._parts]
     return _sealed(buf)

@@ -33,23 +33,24 @@ Every public map checks its ``j`` first, at its own entry.  The four that
 run a public arm map (the complement maps, :func:`mex_to_crank` and
 :func:`crank_to_mex`) check it once more there; the rest is unchecked code:
 the bodies, the step moves, and the kernels ``_mex_split``, ``_mex_join`` and
-``_has_arm`` of :mod:`crankmex.core`.  The step loop itself checks nothing.
+``_has_arm`` of :mod:`crankmex.core`.  The step loop checks no ``j``.
 
 Each direction has one move, ``_fold_move`` and ``_unfold_move``, on the bare
 fields ``(j, k, odd, parts)`` of a state.  One Durfee scan (fold) or one
 binary search for the part ``s + 1`` (unfold) decides whether the state is
-terminal; the Durfee scan also decides which case applies, and the unfold
-move edits the part its search found in place.  :func:`fold_step` and
-:func:`unfold_step` wrap a move in a :class:`StepResult`; the iterated maps
-loop on the move itself and build a :class:`PairState` per step only when
-they keep a trace.
+terminal; the Durfee scan also decides which case applies.  Each edit
+deletes parts where they stand and puts its new parts at the head of its
+buffer (see ``core._sealed``).  :func:`fold_step` and :func:`unfold_step`
+wrap a move in a :class:`StepResult`; the iterated maps loop on the move
+itself.  Only a traced run seals every state into a :class:`PairState`; an
+untraced one passes the sorted buffer on and seals its end state alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import neg
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     DomainError,
@@ -192,10 +193,10 @@ class Trace(_TraceFields):
 
 
 # Every edit on the Durfee arms shifts rows first: it adds 1 to, or subtracts
-# 1 from, each of the d (or d - 1) largest parts.  Then it deletes, inserts or
-# replaces a few parts of the list this returns, which it leaves unsorted for
-# the caller to pass to _sealed.
-def _shifted(parts: tuple[int, ...], d: int, by: int) -> list[int]:
+# 1 from, each of the d (or d - 1) largest parts, which keeps them in order.
+# Then it deletes a few parts of the list this returns and inserts its new
+# parts at the head, and leaves the list for the caller to pass to _sealed.
+def _shifted(parts: Sequence[int], d: int, by: int) -> list[int]:
     """The parts as a list, with ``by`` added to each of the ``d`` largest."""
     buf = list(parts)
     for i in range(d):  # no comprehension: before Python 3.12 it builds a closure per call
@@ -206,7 +207,7 @@ def _shifted(parts: tuple[int, ...], d: int, by: int) -> list[int]:
 # The moves (see the module docstring).  A move returns None at the terminal
 # state, else (case, d, new_k, buf) with buf the unsorted parts for _sealed,
 # or None with FIXED_POINT when the state maps to itself.
-def _fold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
+def _fold_move(j: int, k: int, odd: bool, parts: Sequence[int]):
     s = j + 2 * k + (1 if odd else 0)  # the staircase top
     d = _durfee_size(parts, s)
     if d and parts[d - 1] - d == s:
@@ -214,16 +215,17 @@ def _fold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
             # largest part is exactly s + 1: the move would reproduce lam
             return FIXED_POINT, d, k, None
         buf = _shifted(parts, d - 1, 1)
-        buf[d - 1] = s + 1  # in place of part(d)
+        del buf[d - 1]  # part(d)
+        buf.insert(0, s + 1)
         return 1, d, k, buf
     if not k:
         return None
     buf = _shifted(parts, d, -1)
-    buf += (d + s, s - 1)
+    buf[:0] = (d + s, s - 1)
     return 2, d, k - 1, buf
 
 
-def _unfold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
+def _unfold_move(j: int, k: int, odd: bool, parts: Sequence[int]):
     target = j + 2 * k + (2 if odd else 1)  # the staircase top + 1
     at = bisect_left(parts, -target, key=neg)  # the first copy of target, if any
     if at == len(parts) or parts[at] != target:
@@ -239,7 +241,8 @@ def _unfold_move(j: int, k: int, odd: bool, parts: tuple[int, ...]):
     if d == 0:
         return FIXED_POINT, d, k, None
     buf = _shifted(parts, d, -1)
-    buf[at] = d + target
+    del buf[at]
+    buf.insert(0, d + target)
     return 2, d, k, buf
 
 
@@ -315,9 +318,13 @@ def _iterate(
 ) -> PairState:
     """Apply ``move`` from ``start`` until it reports the terminal state.
 
-    Each step taken is appended to ``steps`` as a :class:`TraceStep` when a
-    list is given; otherwise no state is built until the end.  The cap holds
-    either way.
+    With a list ``steps``, each step is sealed and appended as a
+    :class:`TraceStep`.  Without one, each buffer is sorted in place, its
+    smallest part checked, and passed on as the next move's ``parts``; only
+    the end state is sealed.  The weight checks that this skips in between
+    cannot fail there: the parts come from integer arithmetic on a validated
+    partition, whose weight only grows along a fold run and only shrinks
+    along an unfold run.  The cap holds either way.
     """
     j, k, lam, odd = start
     result = move(j, k, odd, lam._parts)
@@ -332,14 +339,17 @@ def _iterate(
             raise IterationLimitError(
                 f"{direction} iteration reached a fixed state outside the stop set"
             )
-        lam = _sealed(buf)
-        if steps is not None:
-            after = tuple.__new__(PairState, (j, k, lam, odd))
+        if steps is None:
+            buf.sort(reverse=True)
+            if buf and buf[-1] < 1:
+                _sealed(buf)  # raises, naming the first bad part
+        else:
+            after = tuple.__new__(PairState, (j, k, _sealed(buf), odd))
             steps.append(tuple.__new__(TraceStep, (direction, case, d, cur, after)))
-            cur = after
-        result = move(j, k, odd, lam._parts)
+            cur, buf = after, after.lam._parts
+        result = move(j, k, odd, buf)
         if result is None:
-            return cur if steps is not None else tuple.__new__(PairState, (j, k, lam, odd))
+            return cur if steps is not None else tuple.__new__(PairState, (j, k, _sealed(buf), odd))
     raise IterationLimitError(f"{direction} iteration exceeded the cap of {cap} steps")
 
 
@@ -443,7 +453,7 @@ def attach_step(j: int, lam: Partition) -> Partition:
     if d and parts[d - 1] - d == s:
         raise DomainError(f"{lam.to_text()!r} has arm {s}; attaching requires it absent")
     buf = _shifted(parts, d, -1)
-    buf.append(d + s)
+    buf.insert(0, d + s)
     return _sealed(buf)
 
 
@@ -511,7 +521,7 @@ def from_low_crank(j: int, lam: Partition) -> Partition:
     buf = _shifted(parts, d, 1)
     del buf[-ones:]
     if j:
-        buf.append(j)
+        buf.insert(0, j)
     return _sealed(buf)
 
 

@@ -498,16 +498,20 @@ def _never_steps(j, k, odd, parts):
     return None
 
 
-_real_fold_move = cli.maps._fold_move
 _real_conjugate_parts = cli.maps._conjugate_parts
 
 
-def _fold_move_adding_a_zero(j, k, odd, parts):
-    move = _real_fold_move(j, k, odd, parts)
-    if move is None or move[3] is None:
-        return move
-    case, d, new_k, buf = move
-    return case, d, new_k, buf + [0]
+def _adding_a_zero(real_move):
+    """``real_move`` with a part 0 added to every buffer it returns."""
+
+    def move(j, k, odd, parts):
+        result = real_move(j, k, odd, parts)
+        if result is None or result[3] is None:
+            return result
+        case, d, new_k, buf = result
+        return case, d, new_k, buf + [0]
+
+    return move
 
 
 def _ascending_conjugate(parts):
@@ -527,8 +531,12 @@ def _ascending_conjugate(parts):
         ("maps.from_low_crank", lambda j, lam: lam,
          ("map", "crank-to-mex", "12,10,8,7,6,5,5,1", "--j", "5"),
          "crank_to_mex broke an internal invariant: "),
-        ("maps._fold_move", _fold_move_adding_a_zero,
+        # map runs the moves untraced: the first step's buffer is still checked
+        ("maps._fold_move", _adding_a_zero(cli.maps._fold_move),
          ("map", "fold", "11,8,7,7,5,5,4,3,2,2", "--j", "1"),
+         "a map output broke an internal invariant: part #9 must be positive, got 0"),
+        ("maps._unfold_move", _adding_a_zero(cli.maps._unfold_move),
+         ("map", "unfold", "11,8,8,6,5,4,4,4,2,2", "--j", "1"),
          "a map output broke an internal invariant: part #9 must be positive, got 0"),
         ("maps._conjugate_parts", _ascending_conjugate, ("map", "negate-crank", "9,5,2,1"),
          "negate_crank broke an internal invariant: parts must be non-increasing"),
@@ -538,7 +546,7 @@ def _ascending_conjugate(parts):
          "part #5 (2) exceeds part #4 (1)\n"),
     ],
     ids=["map-mex-to-crank", "table", "map-unfold", "map-crank-to-mex", "map-fold",
-         "map-negate-crank", "stats-conjugate"],
+         "map-unfold-zero", "map-negate-crank", "stats-conjugate"],
 )
 def test_broken_invariant_inside_a_map_exits_three(
     capsys, monkeypatch, patched, replacement, argv, cause

@@ -2,14 +2,18 @@
 
 The step maps and bijections build their outputs through ``_sealed``, which
 sorts the buffer and so leaves out the order check of ``Partition(...)``.
-Patching it to "sort, then ``Partition(buf)``" switches every check back on;
-the outputs must not change.  ``negate_crank`` and ``conjugate`` keep the
+Patching it to "sort, then ``Partition(buf)``" switches every check back on
+for every map output and every state of a traced run; the outputs must not
+change.  An untraced run (``mex_to_crank``, ``crank_to_mex``, ``crankmex
+map``) seals only its end state, so its states in between get only the
+smallest-part check.  ``negate_crank`` and ``conjugate`` keep the
 public constructor, whose order check catches a misordered buffer instead of
 sorting it away.  A map output that fails its check is a bug, so all three
 raise ``IterationLimitError`` for it; only the weight cap, which valid inputs
 can reach, stays a ``PartitionError``.
 """
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -85,6 +89,32 @@ def test_public_constructor_sites_do_not_use_sealed(monkeypatch):
         for lam in partitions_of(n):
             assert negate_crank(negate_crank(lam)) == lam
             assert lam.conjugate().conjugate() == lam
+
+
+def test_untraced_runs_seal_a_fixed_number_of_times(monkeypatch):
+    # the running example at j = 1 and 3 takes 4 and 3 steps; a traced fold
+    # seals the mex split and each step, an untraced run only its two ends
+    golden = pathlib.Path(__file__).parent / "golden"
+    calls = []
+
+    def counting(buf):
+        calls.append(len(buf))
+        return _sealed(buf)
+
+    _patch_sealed(monkeypatch, counting)
+    lam = Partition.from_text("11,8,7,7,5,5,4,3,2,2")
+    for j, steps in ((1, 4), (3, 3)):
+        text = (golden / f"trace_fold_j{j}.txt").read_text().splitlines()
+        assert sum(line[0].isdigit() for line in text) == steps
+        calls.clear()
+        image, trace = fold(j, lam)
+        assert (len(trace), len(calls)) == (steps, 1 + steps)
+        calls.clear()
+        assert maps._folded(j, lam, False) == image
+        assert len(calls) == 2  # the mex split and the end state
+        calls.clear()
+        assert maps._unfolded(j, image, False) == lam
+        assert len(calls) == 2  # the end state and the mex join
 
 
 @pytest.mark.parametrize(
