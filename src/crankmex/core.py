@@ -295,10 +295,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram; an involution preserving weight."""
-        try:  # a misordered conjugate is a bug, so it is checked, not sorted
-            return Partition(_conjugate_parts(self._parts))
-        except PartitionError as exc:
-            raise _invariant_broken("conjugate", exc) from exc
+        return _sealed_in_order(_conjugate_parts(self._parts), "conjugate")  # built in order
 
     def durfee_triple(self) -> "DurfeeTriple":
         """Durfee decomposition ``(size, arms, legs)``.
@@ -317,11 +314,13 @@ class Partition:
 def _sealed(buf: list) -> Partition:
     """Partition of the parts in ``buf``, which is sorted here in place.
 
-    For maps whose output parts come from integer arithmetic on the parts of a
-    partition already validated.  They delete parts where they stand and put
-    new ones at the head of ``buf``: ``sort(reverse=True)`` reverses the list
-    first, so the untouched parts form one run, found in one linear pass, and
-    only the new ones are binary-inserted.  The sort sets the order, so unlike
+    Builds every map output: its parts come from integer arithmetic on the
+    parts of a partition already validated.  ``negate_crank`` and ``conjugate``
+    build theirs in order and check that first (:func:`_sealed_in_order`).
+    The other maps delete parts where they stand and put new ones at the head
+    of ``buf``: ``sort(reverse=True)`` reverses the list first, so the
+    untouched parts form one run, found in one linear pass, and only the new
+    ones are binary-inserted.  The sort sets the order, so unlike
     the public constructor this does not walk the parts: it checks only what
     the sort leaves open, a positive smallest part and an exact ``int`` weight
     (a float, ``Decimal`` or ``Fraction`` part makes the sum one), and the
@@ -342,6 +341,16 @@ def _sealed(buf: list) -> Partition:
     lam._parts = tuple(buf)
     lam._weight = total
     return lam
+
+
+def _sealed_in_order(buf: list, where: str) -> Partition:
+    """:func:`_sealed`, after checking the order that ``where`` built ``buf`` in."""
+    if buf != sorted(buf, reverse=True):
+        try:
+            _checked_weight(tuple(buf))
+        except PartitionError as exc:
+            raise _invariant_broken(where, exc) from exc
+    return _sealed(buf)
 
 
 class DurfeeTriple(NamedTuple):

@@ -56,7 +56,6 @@ from .core import (
     DomainError,
     IterationLimitError,
     Partition,
-    PartitionError,
     _check_nonnegative,
     _conjugate_parts,
     _durfee_size,
@@ -65,6 +64,7 @@ from .core import (
     _mex_join,
     _mex_split,
     _sealed,
+    _sealed_in_order,
 )
 
 __all__ = [
@@ -545,9 +545,9 @@ def negate_crank(lam: Partition) -> Partition:
     parts = lam._parts
     ones = parts.count(1)
     if ones == 0:
-        out = parts[1:] + (1,) * parts[0]
+        out = [*parts[1:]] + [1] * parts[0]
     elif parts[0] <= ones:  # t == 0
-        out = (ones,) + parts[: len(parts) - ones]
+        out = [ones, *parts[: len(parts) - ones]]
     else:
         r = max(ones, parts[1] - 1)
         conj = _conjugate_parts(parts[: len(parts) - ones])  # the 1s add only to conj[0]
@@ -555,10 +555,7 @@ def negate_crank(lam: Partition) -> Partition:
         out += map((1).__add__, conj[1:ones])  # no comprehension, as in _shifted
         out += conj[ones + 1 : r + 1]
         out += [1] * conj[ones]  # t == c(w + 1)
-    try:  # the output is checked, not sorted: a misordered one is a bug
-        return Partition(out)
-    except PartitionError as exc:
-        raise _invariant_broken("negate_crank", exc) from exc
+    return _sealed_in_order(out, "negate_crank")  # built in order: checked, not sorted
 
 
 def mex_to_crank(j: int, lam: Partition) -> Partition:

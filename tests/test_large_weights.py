@@ -10,7 +10,7 @@ classified by that file's own crank, mex and arm code.
 from collections import Counter
 
 from crankmex import Partition, maps
-from references import load_oracle, seeded_partitions
+from references import load_oracle, ref_negate_crank, seeded_partitions
 
 # (forward, backward, domain, codomain); each pair is also run backward first
 PAIRS = (
@@ -73,4 +73,7 @@ def test_bijections_round_trip_at_large_weight():
         assert oracle.is_partition(neg.parts) and sum(neg.parts) == weight
         assert oracle.crank(neg.parts) == -oracle.crank(parts)
         assert maps.negate_crank(neg) == lam
+        # the exact images, which test_image_oracle.py pins only to weight 20
+        assert neg.parts == ref_negate_crank(parts)[1]
+        assert maps.negate_crank(neg).parts == ref_negate_crank(neg.parts)[1]
     assert len(entered) == 2 * len(PAIRS) and min(entered.values()) >= 40, entered

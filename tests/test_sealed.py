@@ -6,10 +6,11 @@ Patching it to "sort, then ``Partition(buf)``" switches every check back on
 for every map output and every state of a traced run; the outputs must not
 change.  An untraced run (``mex_to_crank``, ``crank_to_mex``, ``crankmex
 map``) seals only its end state, so its states in between get only the
-smallest-part check.  ``negate_crank`` and ``conjugate`` keep the
-public constructor, whose order check catches a misordered buffer instead of
-sorting it away.  A map output that fails its check is a bug, so all three
-raise ``IterationLimitError`` for it; only the weight cap, which valid inputs
+smallest-part check.  ``negate_crank`` and ``conjugate`` build their outputs
+in order, so they compare the buffer with its sorted copy before ``_sealed``
+and name the first misordered part instead of sorting it away; no map output
+goes through ``Partition(...)``.  A map output that fails its check is a bug,
+so it raises ``IterationLimitError``; only the weight cap, which valid inputs
 can reach, stays a ``PartitionError``.
 """
 
@@ -38,6 +39,7 @@ from crankmex import (
 )
 from crankmex import cli, core, maps, verify
 from crankmex.core import _sealed
+from references import ref_negate_crank
 
 _MODULES = (crankmex, core, maps, verify, cli)
 
@@ -80,15 +82,31 @@ def test_sealed_path_matches_the_full_constructor(monkeypatch):
     assert _map_outputs(14) == outputs
 
 
-def test_public_constructor_sites_do_not_use_sealed(monkeypatch):
-    def refuse(buf):
-        raise AssertionError("_sealed called")
+def test_negate_crank_and_conjugate_seal_each_output_once(monkeypatch):
+    # both check the order they built their output in, then seal it once
+    # through _sealed; neither pays the public constructor's per-part scan
+    inputs = [lam for n in range(2, 10) for lam in partitions_of(n)]
+    seals = []
 
-    _patch_sealed(monkeypatch, refuse)
-    for n in range(2, 10):
-        for lam in partitions_of(n):
-            assert negate_crank(negate_crank(lam)) == lam
-            assert lam.conjugate().conjugate() == lam
+    def counting(buf):
+        seals.append(len(buf))
+        return _sealed(buf)
+
+    def refuse(self, parts=()):
+        raise AssertionError("Partition.__init__ called")
+
+    _patch_sealed(monkeypatch, counting)
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    for lam in inputs:
+        seals.clear()
+        image = negate_crank(lam)
+        assert image.parts == ref_negate_crank(lam.parts)[1]
+        assert negate_crank(image) == lam
+        assert seals == [len(image), len(lam)]
+        seals.clear()
+        conj = lam.conjugate()
+        assert conj.conjugate() == lam and conj.weight == lam.weight
+        assert seals == [len(conj), len(lam)]
 
 
 def test_untraced_runs_seal_a_fixed_number_of_times(monkeypatch):
@@ -145,7 +163,17 @@ def test_sealed_sorts_and_recomputes_the_weight():
     assert _sealed([]) == Partition()
 
 
-@pytest.mark.parametrize("parts", [(9, 5, 2, 1), (5, 3, 1, 1, 1), (4, 2, 2, 1, 1, 1), (7, 4, 1)])
+# the first misordered part of each input's output, as the public constructor
+# named it before negate_crank sealed through _sealed_in_order
+_FIRST_MISORDERED = {
+    (9, 5, 2, 1): "part #4 (2) exceeds part #3 (1)",
+    (5, 3, 1, 1, 1): "part #3 (3) exceeds part #2 (2)",
+    (4, 2, 2, 1, 1, 1): "part #3 (4) exceeds part #2 (2)",
+    (7, 4, 1): "part #3 (2) exceeds part #2 (1)",
+}
+
+
+@pytest.mark.parametrize("parts", list(_FIRST_MISORDERED))
 def test_negate_crank_raises_on_a_misordered_conjugate(monkeypatch, parts):
     # a conjugate in ascending order: for these inputs the rebuilt buffer
     # comes out misordered, which a sorting constructor would hide
@@ -155,5 +183,9 @@ def test_negate_crank_raises_on_a_misordered_conjugate(monkeypatch, parts):
     monkeypatch.setattr(maps, "_conjugate_parts", ascending)
     lam = Partition(parts)
     assert lam.count(1) and lam.count_above(lam.count(1))  # both 1s and tall parts
-    with pytest.raises(IterationLimitError, match="must be non-increasing"):
+    with pytest.raises(IterationLimitError) as info:
         negate_crank(lam)
+    assert str(info.value) == (
+        "negate_crank broke an internal invariant: parts must be non-increasing: "
+        + _FIRST_MISORDERED[parts]
+    )
