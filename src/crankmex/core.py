@@ -345,7 +345,11 @@ def _sealed(buf: list) -> Partition:
 
 def _sealed_in_order(buf: list, where: str) -> Partition:
     """:func:`_sealed`, after checking the order that ``where`` built ``buf`` in."""
-    if buf != sorted(buf, reverse=True):
+    try:
+        ordered = buf == sorted(buf, reverse=True)
+    except TypeError:  # a part that does not compare with int: named below
+        ordered = False
+    if not ordered:
         try:
             _checked_weight(tuple(buf))
         except PartitionError as exc:

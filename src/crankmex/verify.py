@@ -6,8 +6,6 @@ All series arithmetic is exact integer arithmetic; enumeration order is fixed
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import neg
 from typing import Iterator, NamedTuple
 
 from .core import DomainError, Partition, _check_nonnegative, _durfee_size
@@ -265,7 +263,7 @@ def _series(cell):
 def _crank_criterion(cell):
     j = cell.j
     for lam, crank, _, _ in cell.classified:
-        if (crank <= -j) != (lam._parts.count(1) >= _durfee_size(lam._parts, j) + j):
+        if (crank <= -j) != (lam.count(1) >= _durfee_size(lam._parts, j) + j):
             return lam.to_text(), "crank/ones criterion mismatch"
     return None
 
@@ -331,8 +329,7 @@ _CELL_CHECKS = (
         "odd_mex", "arm_free",
         lambda j, lam: maps.fold(j, lam)[0],
         lambda j, nu: maps.unfold(j, nu)[0],
-        # the parts <= j, read as Partition.count_above does, without its call
-        preserved=lambda j, lam: lam._parts[bisect_left(lam._parts, -j, key=neg):],
+        preserved=lambda j, lam: lam.parts[lam.count_above(j):],  # the parts <= j
     )),
     ("bijection-fold-complement", 0, _bijection(
         "even_mex", "arm_bearing",

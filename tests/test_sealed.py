@@ -38,7 +38,7 @@ from crankmex import (
     unfold_complement,
 )
 from crankmex import cli, core, maps, verify
-from crankmex.core import _sealed
+from crankmex.core import _conjugate_parts, _sealed
 from references import ref_negate_crank
 
 _MODULES = (crankmex, core, maps, verify, cli)
@@ -189,3 +189,28 @@ def test_negate_crank_raises_on_a_misordered_conjugate(monkeypatch, parts):
         "negate_crank broke an internal invariant: parts must be non-increasing: "
         + _FIRST_MISORDERED[parts]
     )
+
+
+def _none_third(parts):
+    conj = _conjugate_parts(parts)
+    conj[2] = None
+    return conj
+
+
+def _none_last(parts):
+    return [*_conjugate_parts(parts), None]
+
+
+@pytest.mark.parametrize("module, patched, call, message", [
+    (maps, _none_third, negate_crank,
+     "negate_crank broke an internal invariant: part #2 is not an integer: None"),
+    (core, _none_last, Partition.conjugate,
+     "conjugate broke an internal invariant: part #10 is not an integer: None"),
+], ids=["negate_crank", "conjugate"])
+def test_a_part_that_does_not_compare_names_the_map(monkeypatch, module, patched, call, message):
+    # the order check cannot compare None with an int: the part is named as
+    # the public constructor named it, not raised as a bare TypeError
+    monkeypatch.setattr(module, "_conjugate_parts", patched)
+    with pytest.raises(IterationLimitError) as info:
+        call(Partition((9, 5, 2, 1)))
+    assert str(info.value) == message
