@@ -28,19 +28,13 @@ from .core import (
 
 __all__ = ["main"]
 
-_TRACED_MAPS = {
-    "fold": maps.fold,
-    "unfold": maps.unfold,
-    "fold-complement": maps.fold_complement,
-    "unfold-complement": maps.unfold_complement,
+_PAIR_MAPS = {  # CLI name -> (name in maps, odd flag, 1 if backward), from maps._BIJECTIONS
+    name.replace("_", "-"): (name, odd, backward)
+    for _, pair, _, _, odd, _ in maps._BIJECTIONS for backward, name in enumerate(pair)
 }
-_PLAIN_MAPS = {
-    "to-low-crank": maps.to_low_crank,
-    "from-low-crank": maps.from_low_crank,
-    "mex-to-crank": maps.mex_to_crank,
-    "crank-to-mex": maps.crank_to_mex,
-}
-_ALL_MAPS = sorted([*_TRACED_MAPS, *_PLAIN_MAPS, "negate-crank"])
+_TRACED_MAPS = {k: getattr(maps, v[0]) for k, v in _PAIR_MAPS.items() if v[1] is not None}
+_PLAIN_MAPS = {k: getattr(maps, v[0]) for k, v in _PAIR_MAPS.items() if v[1] is None}
+_ALL_MAPS = sorted([*_PAIR_MAPS, "negate-crank"])
 
 # Upper bound on stats --max-j: it loops over every j up to it, so the bound
 # keeps every accepted value finishing in bounded time.
@@ -202,8 +196,9 @@ def _apply_map(name: str, j: int, lam: Partition) -> Partition:
     if name in _PLAIN_MAPS:
         return _PLAIN_MAPS[name](j, lam)
     _check_nonnegative("j", j)  # negate-crank takes no j and a body checks none
-    if name in _TRACED_MAPS:  # the map's body with no pair, which builds no trace
-        return (maps._unfolded if name[0] == "u" else maps._folded)(j, lam, "complement" in name)
+    if name in _TRACED_MAPS:  # its body (_folded/_unfolded) with no pair builds no trace
+        _, odd, backward = _PAIR_MAPS[name]
+        return (maps._unfolded if backward else maps._folded)(j, lam, odd)
     return maps.negate_crank(lam)
 
 

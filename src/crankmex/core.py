@@ -323,13 +323,18 @@ def _sealed(buf: list) -> Partition:
     ones are binary-inserted.  The sort sets the order, so unlike
     the public constructor this does not walk the parts: it checks only what
     the sort leaves open, a positive smallest part and an exact ``int`` weight
-    (a float, ``Decimal`` or ``Fraction`` part makes the sum one), and the
-    weight cap.  The weight is always recomputed, never taken on trust.  A
-    failed part check is a map bug (:class:`IterationLimitError`); only the
-    weight cap, which valid inputs reach, raises :class:`PartitionError`.
+    (a float, ``Decimal`` or ``Fraction`` part makes the sum one, and a part
+    the sort cannot compare with ``int`` is named too), and the weight cap.
+    The weight is always recomputed, never taken on trust.  A failed part
+    check is a map bug (:class:`IterationLimitError`); only the weight cap,
+    which valid inputs reach, raises :class:`PartitionError`.
     """
-    buf.sort(reverse=True)
-    total = sum(buf)
+    try:
+        buf.sort(reverse=True)
+        total = sum(buf)
+    except TypeError:  # a part that does not compare with int; the failed sort
+        # may leave the others out of order, so only such parts are passed on
+        buf, total = [part for part in buf if not isinstance(part, int)], None
     if type(total) is not int or (buf and buf[-1] < 1):
         try:
             _checked_weight(tuple(buf))

@@ -44,6 +44,8 @@ buffer (see ``core._sealed``).  :func:`fold_step` and :func:`unfold_step`
 wrap a move in a :class:`StepResult`; the iterated maps loop on the move
 itself.  Only a traced run seals every state into a :class:`PairState`; an
 untraced one passes the sorted buffer on and seals its end state alone.
+``_BIJECTIONS`` declares the four pairs once, with their classes and what they
+carry; the theorem suite, the CLI's map choices and the tests read it.
 """
 
 from __future__ import annotations
@@ -340,9 +342,12 @@ def _iterate(
                 f"{direction} iteration reached a fixed state outside the stop set"
             )
         if steps is None:
-            buf.sort(reverse=True)
-            if buf and buf[-1] < 1:
-                _sealed(buf)  # raises, naming the first bad part
+            try:
+                buf.sort(reverse=True)
+                if buf and buf[-1] < 1:
+                    _sealed(buf)  # raises, naming the first bad part
+            except TypeError:  # a part that does not compare with int
+                _sealed(buf)  # raises, naming it
         else:
             after = tuple.__new__(PairState, (j, k, _sealed(buf), odd))
             steps.append(tuple.__new__(TraceStep, (direction, case, d, cur, after)))
@@ -588,3 +593,23 @@ def crank_to_mex(j: int, lam: Partition) -> Partition:
         return _unfolded(j, from_low_crank(j, low), False, where="crank_to_mex")
     except DomainError as exc:
         raise _invariant_broken("crank_to_mex", exc) from exc
+
+
+def _fold_carries(parts: Sequence[int], j: int) -> tuple:
+    # a fold run keeps the pair's length and the parts <= j (fold_step) from the mex
+    # split on, and ends with no staircase part or one that attach_step absorbs as a part
+    return len(parts), parts[bisect_left(parts, -j, key=neg):]
+
+
+# The paper's bijections in the suite's order: (suite name, (forward, backward)
+# map names, (domain, codomain) of verify._classes, minimum weight, the odd flag
+# of _folded/_unfolded or None if untraced, what the forward map keeps or None).
+_BIJECTIONS = (
+    ("fold", ("fold", "unfold"), ("odd_mex", "arm_free"), 0, False, _fold_carries),
+    ("fold-complement", ("fold_complement", "unfold_complement"),
+     ("even_mex", "arm_bearing"), 0, True, _fold_carries),
+    ("low-crank", ("to_low_crank", "from_low_crank"),
+     ("arm_free_with_part", "low_crank"), 2, None, _durfee_size),
+    ("mex-to-crank", ("mex_to_crank", "crank_to_mex"),
+     ("odd_mex_with_part", "high_crank"), 2, None, None),
+)

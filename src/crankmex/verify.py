@@ -278,24 +278,26 @@ def _count(a, b):
     return check
 
 
-def _bijection(domain, codomain, forward, backward, preserved=None):
-    """Element-by-element check that ``forward`` matches two classes perfectly.
+def _bijection(name, pair, classes, min_weight, odd, carried):
+    """The suite row (name, minimum weight, check) of one ``maps._BIJECTIONS`` pair.
 
-    ``forward(j, lam)`` and ``backward(j, nu)`` return partitions.  Verifies
-    weight and ``preserved(j, lam)``, injectivity, codomain membership via the
-    image sets, and round trips from the codomain.
+    The check looks the maps up when it runs, so that a patched or wrapped map
+    is the one checked.  It drops a traced map's trace and verifies weight,
+    ``carried(parts, j)``, injectivity, the image set and the round trips.
     """
+    (forward, backward), (domain, codomain), traced = pair, classes, odd is not None
 
     def check(cell):
         j = cell.j
+        fwd_map, bwd_map = getattr(maps, forward), getattr(maps, backward)
         # keyed by part tuples, which hash and compare in C; the fields are
         # read directly, as this loop touches every element of every class
         fwd = {}
         for lam in cell.classes[domain]:
-            image = forward(j, lam)
+            image = fwd_map(j, lam)[0] if traced else fwd_map(j, lam)
             if image._weight != lam._weight:
                 return lam.to_text(), "weight not preserved"
-            if preserved is not None and preserved(j, lam) != preserved(j, image):
+            if carried is not None and carried(lam._parts, j) != carried(image._parts, j):
                 return lam.to_text(), "conserved quantity broken"
             fwd[lam._parts] = image._parts
         images = set(fwd.values())
@@ -305,16 +307,16 @@ def _bijection(domain, codomain, forward, backward, preserved=None):
         if images != {nu._parts for nu in targets}:
             return None, "forward image differs from the stated codomain"
         for nu in targets:
-            if fwd.get(backward(j, nu)._parts) != nu._parts:
+            back = bwd_map(j, nu)[0] if traced else bwd_map(j, nu)
+            if fwd.get(back._parts) != nu._parts:
                 return nu.to_text(), "backward map does not invert the forward map"
         return None
 
-    return check
+    return f"bijection-{name}", min_weight, check
 
 
 # The suite's table: (name, minimum weight, check).  Below its minimum weight
-# a cell is recorded as skipped.  Maps are looked up in ``maps`` at call time,
-# so a patched or wrapped map is the one checked.
+# a cell is recorded as skipped; the bijection rows come from maps._BIJECTIONS.
 _WEIGHT_CHECKS = (
     ("crank-negation", 2, _negation),
     ("crank-symmetry", 0, _symmetry),
@@ -325,30 +327,10 @@ _CELL_CHECKS = (
     ("count-even-mex-vs-arm-bearing", 0, _count("even_mex", "arm_bearing")),
     ("series-vs-enumeration", 0, _series),
     ("low-crank-criterion", 0, _crank_criterion),
-    ("bijection-fold", 0, _bijection(
-        "odd_mex", "arm_free",
-        lambda j, lam: maps.fold(j, lam)[0],
-        lambda j, nu: maps.unfold(j, nu)[0],
-        preserved=lambda j, lam: lam.parts[lam.count_above(j):],  # the parts <= j
-    )),
-    ("bijection-fold-complement", 0, _bijection(
-        "even_mex", "arm_bearing",
-        lambda j, lam: maps.fold_complement(j, lam)[0],
-        lambda j, nu: maps.unfold_complement(j, nu)[0],
-    )),
+    *(_bijection(*entry) for entry in maps._BIJECTIONS[:2]),  # the two fold pairs
     ("count-arm-free-vs-low-crank", 2, _count("arm_free_with_part", "low_crank")),
     ("count-odd-mex-vs-high-crank", 2, _count("odd_mex_with_part", "high_crank")),
-    ("bijection-low-crank", 2, _bijection(
-        "arm_free_with_part", "low_crank",
-        lambda j, lam: maps.to_low_crank(j, lam),
-        lambda j, mu: maps.from_low_crank(j, mu),
-        preserved=lambda j, lam: _durfee_size(lam._parts, j),
-    )),
-    ("bijection-mex-to-crank", 2, _bijection(
-        "odd_mex_with_part", "high_crank",
-        lambda j, lam: maps.mex_to_crank(j, lam),
-        lambda j, mu: maps.crank_to_mex(j, mu),
-    )),
+    *(_bijection(*entry) for entry in maps._BIJECTIONS[2:]),  # the two crank pairs
 )
 
 

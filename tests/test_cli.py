@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from crankmex import CheckResult, Partition, VerificationReport, partitions_of
-from crankmex import cli
+from crankmex import CheckResult, DomainError, Partition, VerificationReport, partitions_of
+from crankmex import cli, maps
 
 
 def run_cli(capsys, *argv):
@@ -494,6 +494,30 @@ def test_map_negate_crank_rejects_a_negative_j(capsys):
     assert out == "map negate-crank j=0\ninput 5,3,1  crank 1\noutput 5,2,1,1  crank -1\n"
 
 
+@pytest.mark.parametrize("name", [name for _, pair, *_ in maps._BIJECTIONS for name in pair])
+def test_map_gives_the_public_maps_image_or_message(capsys, name):
+    # map runs a traced map's body with no pair: the table picks the body and
+    # its odd flag, so each map's image and DomainError set are compared whole
+    public = getattr(maps, name)
+    for n in range(11):
+        for lam in partitions_of(n):
+            for j in range(4):
+                try:
+                    image = public(j, lam)
+                except DomainError as exc:
+                    expected = (1, "", f"error: {exc}\n")
+                else:
+                    output = (image[0] if isinstance(image, tuple) else image).to_text()
+                    expected = (0, output, "")
+                code, out, err = run_cli(
+                    capsys, "map", name.replace("_", "-"), lam.to_text(), "--j", str(j),
+                    "--format", "records",
+                )
+                if code == 0:
+                    out = json.loads(out)["output"]
+                assert (code, out, err) == expected, (name, lam, j)
+
+
 def _never_steps(j, k, odd, parts):
     return None
 
@@ -501,15 +525,15 @@ def _never_steps(j, k, odd, parts):
 _real_conjugate_parts = cli.maps._conjugate_parts
 
 
-def _adding_a_zero(real_move):
-    """``real_move`` with a part 0 added to every buffer it returns."""
+def _adding(part, real_move):
+    """``real_move`` with ``part`` added to every buffer it returns."""
 
     def move(j, k, odd, parts):
         result = real_move(j, k, odd, parts)
         if result is None or result[3] is None:
             return result
         case, d, new_k, buf = result
-        return case, d, new_k, buf + [0]
+        return case, d, new_k, buf + [part]
 
     return move
 
@@ -532,12 +556,19 @@ def _ascending_conjugate(parts):
          ("map", "crank-to-mex", "12,10,8,7,6,5,5,1", "--j", "5"),
          "crank_to_mex broke an internal invariant: "),
         # map runs the moves untraced: the first step's buffer is still checked
-        ("maps._fold_move", _adding_a_zero(cli.maps._fold_move),
+        ("maps._fold_move", _adding(0, cli.maps._fold_move),
          ("map", "fold", "11,8,7,7,5,5,4,3,2,2", "--j", "1"),
          "a map output broke an internal invariant: part #9 must be positive, got 0"),
-        ("maps._unfold_move", _adding_a_zero(cli.maps._unfold_move),
+        ("maps._unfold_move", _adding(0, cli.maps._unfold_move),
          ("map", "unfold", "11,8,8,6,5,4,4,4,2,2", "--j", "1"),
          "a map output broke an internal invariant: part #9 must be positive, got 0"),
+        # a part that does not compare with int fails the sort, untraced or traced
+        ("maps._fold_move", _adding(None, cli.maps._fold_move),
+         ("map", "fold", "11,8,7,7,5,5,4,3,2,2", "--j", "1"),
+         "a map output broke an internal invariant: part #1 is not an integer: None\n"),
+        ("maps._fold_move", _adding(None, cli.maps._fold_move),
+         ("trace", "fold", "11,8,7,7,5,5,4,3,2,2", "--j", "1"),
+         "a map output broke an internal invariant: part #1 is not an integer: None\n"),
         ("maps._conjugate_parts", _ascending_conjugate, ("map", "negate-crank", "9,5,2,1"),
          "negate_crank broke an internal invariant: parts must be non-increasing"),
         # Partition.conjugate reads core's own binding, not the one maps imports
@@ -546,7 +577,8 @@ def _ascending_conjugate(parts):
          "part #5 (2) exceeds part #4 (1)\n"),
     ],
     ids=["map-mex-to-crank", "table", "map-unfold", "map-crank-to-mex", "map-fold",
-         "map-unfold-zero", "map-negate-crank", "stats-conjugate"],
+         "map-unfold-zero", "map-fold-none", "trace-fold-none", "map-negate-crank",
+         "stats-conjugate"],
 )
 def test_broken_invariant_inside_a_map_exits_three(
     capsys, monkeypatch, patched, replacement, argv, cause

@@ -12,15 +12,6 @@ from collections import Counter
 from crankmex import Partition, maps
 from references import load_oracle, ref_negate_crank, seeded_partitions
 
-# (forward, backward, domain, codomain); each pair is also run backward first
-PAIRS = (
-    ("fold", "unfold", "odd_mex", "arm_free"),
-    ("fold_complement", "unfold_complement", "even_mex", "arm_bearing"),
-    ("to_low_crank", "from_low_crank", "arm_free_with_part", "low_crank"),
-    ("mex_to_crank", "crank_to_mex", "odd_mex_with_part", "high_crank"),
-)
-
-
 def _classes(oracle, parts, j):
     """The classes of the theorem suite that ``parts`` belongs to at ``j``."""
     odd = oracle.has_odd_mex(parts, j)
@@ -51,7 +42,8 @@ def test_bijections_round_trip_at_large_weight():
         weight = sum(parts)
         for j in range(4):
             classes = _classes(oracle, parts, j)
-            for forward, backward, domain, codomain in PAIRS:
+            # each pair of the library's table, also run backward first
+            for _, (forward, backward), (domain, codomain), *_ in maps._BIJECTIONS:
                 for fwd, bwd, dom, cod in (
                     (forward, backward, domain, codomain),
                     (backward, forward, codomain, domain),
@@ -76,4 +68,4 @@ def test_bijections_round_trip_at_large_weight():
         # the exact images, which test_image_oracle.py pins only to weight 20
         assert neg.parts == ref_negate_crank(parts)[1]
         assert maps.negate_crank(neg).parts == ref_negate_crank(neg.parts)[1]
-    assert len(entered) == 2 * len(PAIRS) and min(entered.values()) >= 40, entered
+    assert len(entered) == 2 * len(maps._BIJECTIONS) and min(entered.values()) >= 40, entered

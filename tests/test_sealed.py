@@ -143,6 +143,8 @@ def test_untraced_runs_seal_a_fixed_number_of_times(monkeypatch):
         ([3, 2.0, 1], "is not an integer: 2.0"),
         ([Fraction(3), 1], "is not an integer"),
         ([MAX_WEIGHT, 1], f"weight {MAX_WEIGHT + 1} exceeds the supported maximum"),
+        # the sort itself raises; the part is still named, not a bare TypeError
+        ([3, None], "part #1 is not an integer: None"),
     ],
 )
 def test_sealed_rejects_what_the_sort_cannot_guarantee(buf, message):

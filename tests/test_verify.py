@@ -384,6 +384,11 @@ def test_suite_table_checks_fail_closed(monkeypatch):
 _SWAPPED = {(4, 2, 1): Partition((3, 3, 1)), (3, 3, 1): Partition((4, 2, 1))}  # both crank 1
 
 
+# both odd mex offset at 0, two parts and no part <= 0: a fold that sends the
+# first to the image of the second keeps the weight and what fold carries
+_COLLIDING = {(4, 2): Partition((3, 3))}
+
+
 def _one_part(j, lam):
     return Partition((lam.weight,) if lam.weight else ()), None
 
@@ -402,8 +407,8 @@ _BROKEN = [
      ("bijection-low-crank", 2, 0), "2", "weight not preserved"),
     ("maps", "fold", lambda f: _one_part,
      ("bijection-fold", 2, 1), "1,1", "conserved quantity broken"),
-    ("maps", "fold", lambda f: _one_part,
-     ("bijection-fold", 3, 0), None, "forward map is not injective"),
+    ("maps", "fold", lambda f: lambda j, lam: f(j, _COLLIDING.get(lam.parts, lam)),
+     ("bijection-fold", 6, 0), None, "forward map is not injective"),
     ("maps", "unfold_complement", lambda f: lambda j, lam: (lam, None),
      ("bijection-fold-complement", 4, 0), "2,2", "backward map does not invert the forward map"),
 ]
@@ -423,7 +428,31 @@ def test_suite_reports_each_broken_invariant(monkeypatch, module, name, broken, 
     assert (got.status, got.counterexample, got.note) == ("fail", counterexample, note)
 
 
-@pytest.mark.parametrize("lost, m", [((5,), 5), ((2, 2, 1), 1)])
+# the two arm-bearing partitions of 4 at j = 0, of two parts and of four
+_SWAPPED_ARM_BEARING = {(2, 2): Partition((1, 1, 1, 1)), (1, 1, 1, 1): Partition((2, 2))}
+
+
+def test_suite_reports_a_fold_complement_that_loses_the_part_count(monkeypatch):
+    # the swap, after the forward map and before the backward one, leaves a
+    # bijection of even_mex onto arm_bearing with its inverse: only the check
+    # of what fold_complement carries can catch it
+    maps = crankmex.maps
+    forward, backward = maps.fold_complement, maps.unfold_complement
+
+    def swapped_forward(j, lam):
+        image, trace = forward(j, lam)
+        return _SWAPPED_ARM_BEARING.get(image.parts, image), trace
+
+    def swapped_backward(j, nu):
+        return backward(j, _SWAPPED_ARM_BEARING.get(nu.parts, nu))
+
+    monkeypatch.setattr(maps, "fold_complement", swapped_forward)
+    monkeypatch.setattr(maps, "unfold_complement", swapped_backward)
+    failed = {(r.name, r.n, r.j): (r.counterexample, r.note) for r in run_theorem_suite(4, 0).failures}
+    assert failed == {("bijection-fold-complement", 4, 0): ("3,1", "conserved quantity broken")}
+
+
+@pytest.mark.parametrize("lost, m",[((5,), 5), ((2, 2, 1), 1)])
 def test_suite_row_sum_is_checked_against_the_partition_series(monkeypatch, lost, m):
     # an enumeration that loses one partition of 5 shrinks the crank row with
     # it; the row sum still fails, because p(5) comes from partition_series
