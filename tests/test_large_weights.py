@@ -4,13 +4,15 @@ The other map tests use small partitions (enumerations to weight about 25,
 Hypothesis draws of at most nine parts up to 15).  Here the seeded uniform
 partitions of ``references.py`` come from the sampler in
 ``perfbench/oracle.py``, which does not import crankmex, and every image is
-classified by that file's own crank, mex and arm code.
+classified by that file's own crank, mex and arm code.  The pairs and their
+classes come from the library's one table of them, ``maps._BIJECTIONS``.
 """
 
 from collections import Counter
 
 from crankmex import Partition, maps
 from references import load_oracle, ref_negate_crank, seeded_partitions
+
 
 def _classes(oracle, parts, j):
     """The classes of the theorem suite that ``parts`` belongs to at ``j``."""

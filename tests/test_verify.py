@@ -452,7 +452,7 @@ def test_suite_reports_a_fold_complement_that_loses_the_part_count(monkeypatch):
     assert failed == {("bijection-fold-complement", 4, 0): ("3,1", "conserved quantity broken")}
 
 
-@pytest.mark.parametrize("lost, m",[((5,), 5), ((2, 2, 1), 1)])
+@pytest.mark.parametrize("lost, m", [((5,), 5), ((2, 2, 1), 1)])
 def test_suite_row_sum_is_checked_against_the_partition_series(monkeypatch, lost, m):
     # an enumeration that loses one partition of 5 shrinks the crank row with
     # it; the row sum still fails, because p(5) comes from partition_series
