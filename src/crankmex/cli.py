@@ -270,7 +270,7 @@ def _cmd_table(args) -> int:
         if not (lam.has_odd_mex(j) and lam.has_part(j)):
             continue
         try:  # the row is in the domain of all three maps, so a DomainError is a bug
-            folded, _ = maps.fold(j, lam)
+            folded = maps._folded(j, lam, False)  # fold's body: no trace is built
             low = maps.to_low_crank(j, folded)
             final = maps.negate_crank(low)
         except DomainError as exc:

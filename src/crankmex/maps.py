@@ -24,7 +24,8 @@ partitions of crank at least ``j``.
 Every function is pure.  Each direction has one private body, ``_folded`` or
 ``_unfolded``.  Only the four traced maps run it through :func:`fold_pair` or
 :func:`unfold_pair`, which build their traces; :func:`mex_to_crank`,
-:func:`crank_to_mex` and the CLI's ``map`` run it without one.
+:func:`crank_to_mex`, the theorem suite's fold rows and the CLI's ``map`` and
+``table`` run it without one.
 States (:class:`PairState`), trace steps (:class:`TraceStep`) and traces
 (:class:`Trace`) are named tuples, so they compare and hash by their fields
 and equal the plain tuple of them; ``len(trace)`` counts the steps.

@@ -282,10 +282,14 @@ def _bijection(name, pair, classes, min_weight, odd, carried):
     """The suite row (name, minimum weight, check) of one ``maps._BIJECTIONS`` pair.
 
     The check looks the maps up when it runs, so that a patched or wrapped map
-    is the one checked.  It drops a traced map's trace and verifies weight,
-    ``carried(parts, j)``, injectivity, the image set and the round trips.
+    is the one checked.  A traced pair (``odd`` not None) runs its bodies
+    ``maps._folded``/``maps._unfolded`` with that flag, as ``crankmex map``
+    does, and builds no trace.  The check verifies weight, ``carried(parts,
+    j)``, injectivity, the image set and the round trips.
     """
     (forward, backward), (domain, codomain), traced = pair, classes, odd is not None
+    if traced:  # the bodies that the traced maps and the composites share
+        forward, backward = "_folded", "_unfolded"
 
     def check(cell):
         j = cell.j
@@ -294,7 +298,7 @@ def _bijection(name, pair, classes, min_weight, odd, carried):
         # read directly, as this loop touches every element of every class
         fwd = {}
         for lam in cell.classes[domain]:
-            image = fwd_map(j, lam)[0] if traced else fwd_map(j, lam)
+            image = fwd_map(j, lam, odd) if traced else fwd_map(j, lam)
             if image._weight != lam._weight:
                 return lam.to_text(), "weight not preserved"
             if carried is not None and carried(lam._parts, j) != carried(image._parts, j):
@@ -307,7 +311,7 @@ def _bijection(name, pair, classes, min_weight, odd, carried):
         if images != {nu._parts for nu in targets}:
             return None, "forward image differs from the stated codomain"
         for nu in targets:
-            back = bwd_map(j, nu)[0] if traced else bwd_map(j, nu)
+            back = bwd_map(j, nu, odd) if traced else bwd_map(j, nu)
             if fwd.get(back._parts) != nu._parts:
                 return nu.to_text(), "backward map does not invert the forward map"
         return None

@@ -33,7 +33,7 @@ from crankmex import (
     unfold_step,
     FIXED_POINT,
 )
-from crankmex import cli
+from crankmex import cli, maps
 
 import golden_data
 from references import ref_crank
@@ -219,7 +219,9 @@ def test_criterion_8_termination_under_cap(suite_run):
     assert not any("IterationLimitError" in r["note"] for r in records)
     # the step law, which cli.MAX_MAP_WEIGHT rests on: at weight n >= 1 the
     # longest run of the four traced maps takes exactly (n - 1) // 2 steps,
-    # far below the cap; an even mex offset is outside fold's domain
+    # far below the cap; an even mex offset is outside fold's domain.  The
+    # suite runs the untraced bodies, so the traced maps' images are checked
+    # here against the body's, with the same odd flag
     accepted = []  # even offsets fold took; suppress costs less per call than pytest.raises
     for n in range(26):
         longest = 0
@@ -232,12 +234,15 @@ def test_criterion_8_termination_under_cap(suite_run):
                         accepted.append((j, lam))
                 # each input lies in the domain of one of fold and
                 # fold_complement, and of one of unfold and unfold_complement
-                _, folded = (fold if odd else fold_complement)(j, lam)
-                _, unfolded = (unfold_complement if lam.has_arm(j) else unfold)(j, lam)
+                image, folded = (fold if odd else fold_complement)(j, lam)
+                assert image == maps._folded(j, lam, not odd), (j, lam)
+                arm = lam.has_arm(j)
+                image, unfolded = (unfold_complement if arm else unfold)(j, lam)
+                assert image == maps._unfolded(j, lam, arm), (j, lam)
                 longest = max(longest, len(folded), len(unfolded))
         assert longest == max(0, (n - 1) // 2), n
     assert not accepted
-    report_line(8, "step law (n - 1) // 2 to weight 25, far under the cap, no internal errors")
+    report_line(8, "step law (n - 1) // 2 to weight 25, far under the cap, traced images equal the bodies', no internal errors")
 
 
 def test_criterion_9_step_invariants_on_state_space():

@@ -228,6 +228,27 @@ def test_suite_small_bounds_pass():
     assert "low-crank-criterion" in names
 
 
+def test_suite_builds_no_trace(monkeypatch):
+    # the fold rows run the bodies the traced maps share, which take no pair;
+    # a row that called fold_pair or unfold_pair would build a Trace per
+    # element and drop it
+    calls = []
+
+    def counting(name):
+        original = getattr(crankmex.maps, name)
+
+        def wrapper(state):
+            calls.append(name)
+            return original(state)
+
+        return wrapper
+
+    for name in ("fold_pair", "unfold_pair"):
+        monkeypatch.setattr(crankmex.maps, name, counting(name))
+    assert run_theorem_suite(8, 3).all_passed
+    assert calls == []
+
+
 def test_suite_skips_below_theorem_hypothesis():
     report = run_theorem_suite(1, 0)
     assert report.all_passed
@@ -325,16 +346,35 @@ def test_series_reject_negative_arguments():
             odd_mex_series(j, order)
 
 
+def _on_flag(odd, broken):
+    """A replacement for the body ``maps._folded`` or ``maps._unfolded``.
+
+    Built from the original body, it returns ``broken(body, j, lam)`` when
+    called with the flag ``odd`` and runs the body otherwise, so it breaks one
+    of the two fold pairs as the suite runs them.
+    """
+
+    def patch(body):
+        def patched(j, lam, flag, *rest, **where):
+            if flag is odd:
+                return broken(body, j, lam)
+            return body(j, lam, flag, *rest, **where)
+
+        return patched
+
+    return patch
+
+
 def test_suite_records_a_crashing_check_as_a_failed_cell(monkeypatch):
     expected = run_theorem_suite(6, 2).results
-    fold = crankmex.maps.fold
 
-    def fold_failing_at_weight_four(j, lam):
+    def fail_at_weight_four(body, j, lam):
         if lam.weight == 4:
             raise ValueError("list.remove(x): x not in list")
-        return fold(j, lam)
+        return body(j, lam, False)
 
-    monkeypatch.setattr(crankmex.maps, "fold", fold_failing_at_weight_four)
+    maps = crankmex.maps
+    monkeypatch.setattr(maps, "_folded", _on_flag(False, fail_at_weight_four)(maps._folded))
     report = run_theorem_suite(6, 2)
     assert [(r.name, r.n, r.j) for r in report.results] == [
         (r.name, r.n, r.j) for r in expected
@@ -389,8 +429,8 @@ _SWAPPED = {(4, 2, 1): Partition((3, 3, 1)), (3, 3, 1): Partition((4, 2, 1))}  #
 _COLLIDING = {(4, 2): Partition((3, 3))}
 
 
-def _one_part(j, lam):
-    return Partition((lam.weight,) if lam.weight else ()), None
+def _one_part(body, j, lam):
+    return Partition((lam.weight,) if lam.weight else ())
 
 
 # (module, name, replacement built from the original, failing cell, counterexample, note)
@@ -405,11 +445,12 @@ _BROKEN = [
      ("low-crank-criterion", 4, 0), "3,1", "crank/ones criterion mismatch"),
     ("maps", "to_low_crank", lambda f: lambda j, lam: Partition(f(j, lam).parts + (1,)),
      ("bijection-low-crank", 2, 0), "2", "weight not preserved"),
-    ("maps", "fold", lambda f: _one_part,
+    ("maps", "_folded", _on_flag(False, _one_part),
      ("bijection-fold", 2, 1), "1,1", "conserved quantity broken"),
-    ("maps", "fold", lambda f: lambda j, lam: f(j, _COLLIDING.get(lam.parts, lam)),
+    ("maps", "_folded",
+     _on_flag(False, lambda body, j, lam: body(j, _COLLIDING.get(lam.parts, lam), False)),
      ("bijection-fold", 6, 0), None, "forward map is not injective"),
-    ("maps", "unfold_complement", lambda f: lambda j, lam: (lam, None),
+    ("maps", "_unfolded", _on_flag(True, lambda body, j, lam: lam),
      ("bijection-fold-complement", 4, 0), "2,2", "backward map does not invert the forward map"),
 ]
 
@@ -433,21 +474,20 @@ _SWAPPED_ARM_BEARING = {(2, 2): Partition((1, 1, 1, 1)), (1, 1, 1, 1): Partition
 
 
 def test_suite_reports_a_fold_complement_that_loses_the_part_count(monkeypatch):
-    # the swap, after the forward map and before the backward one, leaves a
+    # the swap, after the forward body and before the backward one, leaves a
     # bijection of even_mex onto arm_bearing with its inverse: only the check
     # of what fold_complement carries can catch it
     maps = crankmex.maps
-    forward, backward = maps.fold_complement, maps.unfold_complement
 
-    def swapped_forward(j, lam):
-        image, trace = forward(j, lam)
-        return _SWAPPED_ARM_BEARING.get(image.parts, image), trace
+    def swapped_forward(body, j, lam):
+        image = body(j, lam, True)
+        return _SWAPPED_ARM_BEARING.get(image.parts, image)
 
-    def swapped_backward(j, nu):
-        return backward(j, _SWAPPED_ARM_BEARING.get(nu.parts, nu))
+    def swapped_backward(body, j, nu):
+        return body(j, _SWAPPED_ARM_BEARING.get(nu.parts, nu), True)
 
-    monkeypatch.setattr(maps, "fold_complement", swapped_forward)
-    monkeypatch.setattr(maps, "unfold_complement", swapped_backward)
+    monkeypatch.setattr(maps, "_folded", _on_flag(True, swapped_forward)(maps._folded))
+    monkeypatch.setattr(maps, "_unfolded", _on_flag(True, swapped_backward)(maps._unfolded))
     failed = {(r.name, r.n, r.j): (r.counterexample, r.note) for r in run_theorem_suite(4, 0).failures}
     assert failed == {("bijection-fold-complement", 4, 0): ("3,1", "conserved quantity broken")}
 
