@@ -28,12 +28,12 @@ from .core import (
 
 __all__ = ["main"]
 
+# names only: each command looks its map up in maps when it runs
 _PAIR_MAPS = {  # CLI name -> (name in maps, odd flag, 1 if backward), from maps._BIJECTIONS
     name.replace("_", "-"): (name, odd, backward)
     for _, pair, _, _, odd, _ in maps._BIJECTIONS for backward, name in enumerate(pair)
 }
-_TRACED_MAPS = {k: getattr(maps, v[0]) for k, v in _PAIR_MAPS.items() if v[1] is not None}
-_PLAIN_MAPS = {k: getattr(maps, v[0]) for k, v in _PAIR_MAPS.items() if v[1] is None}
+_TRACED_MAPS = sorted(k for k, v in _PAIR_MAPS.items() if v[1] is not None)
 _ALL_MAPS = sorted([*_PAIR_MAPS, "negate-crank"])
 
 # Upper bound on stats --max-j: it loops over every j up to it, so the bound
@@ -193,13 +193,13 @@ def _map_input(text: str) -> Partition:
 
 
 def _apply_map(name: str, j: int, lam: Partition) -> Partition:
-    if name in _PLAIN_MAPS:
-        return _PLAIN_MAPS[name](j, lam)
-    _check_nonnegative("j", j)  # negate-crank takes no j and a body checks none
-    if name in _TRACED_MAPS:  # its body (_folded/_unfolded) with no pair builds no trace
-        _, odd, backward = _PAIR_MAPS[name]
+    _check_nonnegative("j", j)  # negate-crank and the bodies check no j; plain maps check it again
+    if name == "negate-crank":
+        return maps.negate_crank(lam)
+    attr, odd, backward = _PAIR_MAPS[name]
+    if odd is not None:  # its body (_folded/_unfolded) with no pair builds no trace
         return (maps._unfolded if backward else maps._folded)(j, lam, odd)
-    return maps.negate_crank(lam)
+    return getattr(maps, attr)(j, lam)
 
 
 def _cmd_map(args) -> int:
@@ -224,7 +224,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_trace(args) -> int:
     lam = _map_input(args.partition)
-    result, trace = _TRACED_MAPS[args.map](args.j, lam)
+    result, trace = getattr(maps, _PAIR_MAPS[args.map][0])(args.j, lam)
     records = [
         {
             "step_index": index,
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(handler=_cmd_map)
 
     p_trace = sub.add_parser("trace", help="show the full iteration table of a staircase map")
-    p_trace.add_argument("map", choices=sorted(_TRACED_MAPS))
+    p_trace.add_argument("map", choices=_TRACED_MAPS)
     p_trace.add_argument("partition")
     p_trace.add_argument("--j", type=_int(), default=0)
     common(p_trace)

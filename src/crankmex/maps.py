@@ -378,9 +378,9 @@ def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
 # else _iterate with no step list, and finishes.  A later DomainError is a bug,
 # re-raised as IterationLimitError naming the traced map or ``where``.
 def _folded(j: int, lam: Partition, odd: bool, pair=None):
-    # no part j + 1: the run is empty and no split is built (_mex_split has no shortcut)
+    # no part j + 1: the run is 0, with no split built (an odd entry then rejects lam)
     run, rest = 0, lam
-    if odd or j + 1 in lam._parts:
+    if j + 1 in lam._parts:
         _, run, rest = _mex_split(j, lam)
     if run % 2 != odd:
         parity = "even" if odd else "odd"
@@ -602,15 +602,15 @@ def _fold_carries(parts: Sequence[int], j: int) -> tuple:
     return len(parts), parts[bisect_left(parts, -j, key=neg):]
 
 
-# The paper's bijections in the suite's order: (suite name, (forward, backward)
-# map names, (domain, codomain) of verify._classes, minimum weight, the odd flag
-# of _folded/_unfolded or None if untraced, what the forward map keeps or None).
+# The paper's bijections in suite order, each map by its name in maps: (suite name,
+# (forward, backward) maps, (domain, codomain) of verify._classes, minimum weight, the
+# odd flag of _folded/_unfolded or None if untraced, what the forward map keeps or None).
 _BIJECTIONS = (
-    ("fold", ("fold", "unfold"), ("odd_mex", "arm_free"), 0, False, _fold_carries),
+    ("fold", ("fold", "unfold"), ("odd_mex", "arm_free"), 0, False, "_fold_carries"),
     ("fold-complement", ("fold_complement", "unfold_complement"),
-     ("even_mex", "arm_bearing"), 0, True, _fold_carries),
+     ("even_mex", "arm_bearing"), 0, True, "_fold_carries"),
     ("low-crank", ("to_low_crank", "from_low_crank"),
-     ("arm_free_with_part", "low_crank"), 2, None, _durfee_size),
+     ("arm_free_with_part", "low_crank"), 2, None, "_durfee_size"),
     ("mex-to-crank", ("mex_to_crank", "crank_to_mex"),
      ("odd_mex_with_part", "high_crank"), 2, None, None),
 )

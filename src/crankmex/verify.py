@@ -281,18 +281,18 @@ def _count(a, b):
 def _bijection(name, pair, classes, min_weight, odd, carried):
     """The suite row (name, minimum weight, check) of one ``maps._BIJECTIONS`` pair.
 
-    The check looks the maps up when it runs, so that a patched or wrapped map
-    is the one checked.  A traced pair (``odd`` not None) runs its bodies
-    ``maps._folded``/``maps._unfolded`` with that flag, as ``crankmex map``
-    does, and builds no trace.  The check verifies weight, ``carried(parts,
-    j)``, injectivity, the image set and the round trips.
+    The check looks its maps and ``carried`` up by name in ``maps`` when it
+    runs, so a patched or wrapped one is the one checked.  A traced pair
+    (``odd`` not None) runs its bodies ``_folded``/``_unfolded`` with that
+    flag, as ``crankmex map`` does, and builds no trace.  The check verifies
+    weight, ``carried(parts, j)``, injectivity, the image set and round trips.
     """
     (forward, backward), (domain, codomain), traced = pair, classes, odd is not None
     if traced:  # the bodies that the traced maps and the composites share
         forward, backward = "_folded", "_unfolded"
 
     def check(cell):
-        j = cell.j
+        j, keep = cell.j, carried and getattr(maps, carried)
         fwd_map, bwd_map = getattr(maps, forward), getattr(maps, backward)
         # keyed by part tuples, which hash and compare in C; the fields are
         # read directly, as this loop touches every element of every class
@@ -301,7 +301,7 @@ def _bijection(name, pair, classes, min_weight, odd, carried):
             image = fwd_map(j, lam, odd) if traced else fwd_map(j, lam)
             if image._weight != lam._weight:
                 return lam.to_text(), "weight not preserved"
-            if carried is not None and carried(lam._parts, j) != carried(image._parts, j):
+            if keep and keep(lam._parts, j) != keep(image._parts, j):
                 return lam.to_text(), "conserved quantity broken"
             fwd[lam._parts] = image._parts
         images = set(fwd.values())

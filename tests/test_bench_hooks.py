@@ -9,7 +9,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from crankmex import maps
+from crankmex import cli, maps
 from crankmex.core import Partition
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -93,6 +93,20 @@ def test_composites_reach_their_arm_maps_through_the_module(monkeypatch):
         calls.clear()
         fn(1, lam)
         assert calls == [expected], fn.__name__
+
+
+def test_maps_are_bound_only_in_maps():
+    # A wrapper or fault placed on a name in maps reaches every command and
+    # suite row only if nothing else holds the function: cli keeps names, and
+    # so does the bijection table.
+    def of_maps(value):
+        return inspect.isfunction(value) and value.__module__ == maps.__name__
+
+    for key, value in vars(cli).items():
+        held = value.values() if isinstance(value, dict) else [value]
+        assert not any(map(of_maps, held)), key
+    for row in maps._BIJECTIONS:
+        assert not any(callable(v) for v in row), row
 
 
 def test_tracer_reads_step_counts_and_cap_from_a_trace():

@@ -227,7 +227,7 @@ def test_internal_exception_exits_three(capsys, monkeypatch, exc_type):
     def broken(j, lam):
         raise exc_type("bug inside a map")
 
-    monkeypatch.setitem(cli._PLAIN_MAPS, "mex-to-crank", broken)
+    monkeypatch.setattr(maps, "mex_to_crank", broken)
     code, out, err = run_cli(capsys, "map", "mex-to-crank", "3,2", "--j", "0")
     assert code == 3
     assert out == ""
@@ -286,27 +286,28 @@ def test_verify_accepts_the_max_j_cap(capsys):
     assert "all checks passed" in out
 
 
+# every (command, map) pair: map with each map name, trace with each traced one
+_COMMANDS = [
+    *(("map", name) for name in cli._ALL_MAPS), *(("trace", name) for name in cli._TRACED_MAPS)
+]
+
+
 def _hook(weight):
     # (m + 1, 1^m) or (m, 1^m): under unfold at j = 0 it takes (weight - 1) // 2
     # steps, the most any input of its weight takes
     return ",".join([str(weight - weight // 2)] + ["1"] * (weight // 2))
 
 
-@pytest.mark.parametrize(
-    "command",
-    [("map", name) for name in cli._ALL_MAPS] + [("trace", name) for name in sorted(cli._TRACED_MAPS)],
-    ids="-".join,
-)
+@pytest.mark.parametrize("command", _COMMANDS, ids="-".join)
 def test_map_and_trace_reject_a_weight_over_the_bound_at_once(capsys, monkeypatch, command):
     def no_map_runs(*args):
         raise AssertionError("a map ran on an input over the bound")
 
-    for table in (cli._TRACED_MAPS, cli._PLAIN_MAPS):
-        for name in table:
-            monkeypatch.setitem(table, name, no_map_runs)
-    # map runs the traced maps' bodies, with no trace
-    for name in ("negate_crank", "_folded", "_unfolded"):
-        monkeypatch.setattr(cli.maps, name, no_map_runs)
+    # every map a command runs, the traced maps' bodies among them (map runs
+    # those, with no trace)
+    pair_maps = [name for _, pair, *_ in maps._BIJECTIONS for name in pair]
+    for name in (*pair_maps, "negate_crank", "_folded", "_unfolded"):
+        monkeypatch.setattr(maps, name, no_map_runs)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *command, _hook(cli.MAX_MAP_WEIGHT + 1), "--j", "0")
     assert time.perf_counter() - start < 1.0
@@ -315,6 +316,26 @@ def test_map_and_trace_reject_a_weight_over_the_bound_at_once(capsys, monkeypatc
         f"error: map and trace accept weight at most {cli.MAX_MAP_WEIGHT}, "
         f"got {cli.MAX_MAP_WEIGHT + 1}\n"
     )
+
+
+def _run_by(command, name):
+    # the function in maps that the command runs: map runs a traced map's body
+    name = name.replace("-", "_")
+    if command == "map" and name in ("fold", "fold_complement", "unfold", "unfold_complement"):
+        return "_unfolded" if name.startswith("un") else "_folded"
+    return name
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids="-".join)
+def test_every_command_runs_the_map_bound_in_maps(capsys, monkeypatch, command):
+    # the CLI keeps no copy of a map: one patched or wrapped in maps is the
+    # one that runs, so a bug placed there exits 3
+    def patched(*args):
+        raise ValueError("patched")
+
+    monkeypatch.setattr(maps, _run_by(*command), patched)
+    code, out, err = run_cli(capsys, *command, "3,2", "--j", "0")
+    assert (code, out, err) == (3, "", "internal error: ValueError: patched\n")
 
 
 def test_map_unfold_accepts_the_worst_input_at_the_bound(capsys):

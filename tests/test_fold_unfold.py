@@ -259,6 +259,55 @@ def test_complement_domain_error_messages():
     assert str(info.value) == "'9' has no arm 0 to detach"
 
 
+def _steps(trace):
+    # a step as the moves see it: (case, d) and the (k, partition) either side
+    return [(s.case, s.d, s.before.k, s.before.lam, s.after.k, s.after.lam) for s in trace.steps]
+
+
+def _with_part(lam, part):
+    return Partition(sorted(lam.parts + (part,), reverse=True))
+
+
+def _without_part(lam, part):
+    parts = list(lam.parts)
+    parts.remove(part)
+    return Partition(parts)
+
+
+def test_complement_maps_run_as_the_plain_maps_one_step_up():
+    # A move reads only the staircase top j + 2k + odd, so the odd staircase
+    # over j runs step for step like the even one over j + 1: fold_complement
+    # at j is fold at j + 1 on lam less one part j + 1, then attach_step, and
+    # unfold_complement is detach_step, then unfold at j + 1, plus a part j + 1.
+    folds = unfolds = 0
+    for n in range(19):
+        for lam in partitions_of(n):
+            for j in range(6):
+                s = j + 1
+                try:
+                    out, trace = fold_complement(j, lam)
+                except DomainError:
+                    if lam.has_part(s):
+                        with pytest.raises(DomainError):
+                            fold(s, _without_part(lam, s))
+                else:
+                    image, plain = fold(s, _without_part(lam, s))
+                    assert out == attach_step(j, image), (j, lam)
+                    assert _steps(trace) == _steps(plain), (j, lam)
+                    folds += 1
+                try:
+                    out, trace = unfold_complement(j, lam)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        detach_step(j, lam)
+                else:
+                    image, plain = unfold(s, detach_step(j, lam))
+                    assert out == _with_part(image, s), (j, lam)
+                    assert _steps(trace) == _steps(plain), (j, lam)
+                    unfolds += 1
+    assert folds == unfolds == 2885
+
+
 # -- the step cap ------------------------------------------------------------------
 
 
@@ -291,7 +340,8 @@ def test_iteration_cap_boundary(keep_trace, extra):
 
 def test_zero_run_starts_never_split(monkeypatch):
     # the split side's one zero-run shortcut: with no part j + 1, fold and
-    # mex_to_crank start from (empty staircase, lam) without calling _mex_split
+    # mex_to_crank start from (empty staircase, lam) without calling _mex_split,
+    # and fold_complement rejects lam without calling it either
     cases = [
         (j, lam)
         for n in range(11)
@@ -313,3 +363,8 @@ def test_zero_run_starts_never_split(monkeypatch):
     monkeypatch.setattr(maps, "_mex_split", no_split)
     assert [fold(j, lam) for j, lam in cases] == folded
     assert {key: maps.mex_to_crank(*key) for key in high} == high
+    # the odd entry rejects them all, and with the same message, unsplit
+    for j, lam in cases:
+        with pytest.raises(DomainError) as info:
+            fold_complement(j, lam)
+        assert str(info.value) == f"{lam.to_text()!r} does not have an even mex offset at j={j}"

@@ -460,6 +460,18 @@ def test_suite_reports_each_broken_invariant(monkeypatch, module, name, broken, 
     assert (got.status, got.counterexample, got.note) == ("fail", counterexample, note)
 
 
+def test_suite_reads_what_fold_carries_from_maps_when_it_runs(monkeypatch):
+    # the parts whole are not what a fold keeps: both fold rows must see the
+    # patched function, not one bound when the table was built
+    monkeypatch.setattr(crankmex.maps, "_fold_carries", lambda parts, j: parts)
+    report = run_theorem_suite(4, 0)
+    failed = {(r.name, r.n, r.j): (r.counterexample, r.note) for r in report.failures}
+    assert failed == {
+        ("bijection-fold", 4, 0): ("2,2", "conserved quantity broken"),
+        ("bijection-fold-complement", 4, 0): ("3,1", "conserved quantity broken"),
+    }
+
+
 # the two arm-bearing partitions of 4 at j = 0, of two parts and of four
 _SWAPPED_ARM_BEARING = {(2, 2): Partition((1, 1, 1, 1)), (1, 1, 1, 1): Partition((2, 2))}
 
