@@ -28,12 +28,17 @@ from .core import (
 
 __all__ = ["main"]
 
-# names only: each command looks its map up in maps when it runs
+
+class _InMaps(dict):  # CLI name -> name in maps; it holds names only
+    def __getitem__(self, name):  # the map of that name in maps when a command runs
+        return getattr(maps, super().__getitem__(name))
+
+
 _PAIR_MAPS = {  # CLI name -> (name in maps, odd flag, 1 if backward), from maps._BIJECTIONS
     name.replace("_", "-"): (name, odd, backward)
     for _, pair, _, _, odd, _ in maps._BIJECTIONS for backward, name in enumerate(pair)
 }
-_TRACED_MAPS = sorted(k for k, v in _PAIR_MAPS.items() if v[1] is not None)
+_TRACED_MAPS = _InMaps((k, v[0]) for k, v in sorted(_PAIR_MAPS.items()) if v[1] is not None)
 _ALL_MAPS = sorted([*_PAIR_MAPS, "negate-crank"])
 
 # Upper bound on stats --max-j: it loops over every j up to it, so the bound
@@ -224,7 +229,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_trace(args) -> int:
     lam = _map_input(args.partition)
-    result, trace = getattr(maps, _PAIR_MAPS[args.map][0])(args.j, lam)
+    result, trace = _TRACED_MAPS[args.map](args.j, lam)
     records = [
         {
             "step_index": index,
@@ -321,18 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(handler=_cmd_stats)
 
     p_map = sub.add_parser("map", help="apply one bijection to one partition")
-    p_map.add_argument("map", choices=_ALL_MAPS)
-    p_map.add_argument("partition")
-    p_map.add_argument("--j", type=_int(), default=0)
-    common(p_map)
-    p_map.set_defaults(handler=_cmd_map)
-
     p_trace = sub.add_parser("trace", help="show the full iteration table of a staircase map")
-    p_trace.add_argument("map", choices=_TRACED_MAPS)
-    p_trace.add_argument("partition")
-    p_trace.add_argument("--j", type=_int(), default=0)
-    common(p_trace)
-    p_trace.set_defaults(handler=_cmd_trace)
+    for p, choices, handler in ((p_map, _ALL_MAPS, _cmd_map), (p_trace, _TRACED_MAPS, _cmd_trace)):
+        p.add_argument("map", choices=choices)
+        p.add_argument("partition")
+        p.add_argument("--j", type=_int(), default=0)
+        common(p)
+        p.set_defaults(handler=handler)
 
     p_table = sub.add_parser("table", help="full crank/mex correspondence at one weight")
     p_table.add_argument("--weight", type=_int(), required=True)

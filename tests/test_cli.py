@@ -320,10 +320,10 @@ def test_map_and_trace_reject_a_weight_over_the_bound_at_once(capsys, monkeypatc
 
 def _run_by(command, name):
     # the function in maps that the command runs: map runs a traced map's body
-    name = name.replace("-", "_")
-    if command == "map" and name in ("fold", "fold_complement", "unfold", "unfold_complement"):
-        return "_unfolded" if name.startswith("un") else "_folded"
-    return name
+    attr, odd, backward = cli._PAIR_MAPS.get(name, (name.replace("-", "_"), None, 0))
+    if command == "map" and odd is not None:
+        return "_unfolded" if backward else "_folded"
+    return attr
 
 
 @pytest.mark.parametrize("command", _COMMANDS, ids="-".join)

@@ -35,7 +35,7 @@ def _argv(draw):
     text = draw(_TEXT)
     if command == "stats":
         return ["stats", text, "--format", "records"]
-    names = cli._ALL_MAPS if command == "map" else cli._TRACED_MAPS
+    names = cli._ALL_MAPS if command == "map" else sorted(cli._TRACED_MAPS)
     # mostly small j, where the maps' domains are not almost empty
     j = draw(st.one_of(st.integers(0, 3), st.integers(-3, 40)))
     return [command, draw(st.sampled_from(names)), text, "--j", str(j), "--format", "records"]
