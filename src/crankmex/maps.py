@@ -44,7 +44,10 @@ deletes parts where they stand and puts its new parts at the head of its
 buffer (see ``core._sealed``).  :func:`fold_step` and :func:`unfold_step`
 wrap a move in a :class:`StepResult`; the iterated maps loop on the move
 itself.  Only a traced run seals every state into a :class:`PairState`; an
-untraced one passes the sorted buffer on and seals its end state alone.
+untraced one starts from a bare ``(j, k, lam, odd)`` tuple, passes the sorted
+buffer on, and ends as a bare tuple around its sealed end partition, which the
+body unpacks.  A bare start becomes a :class:`PairState` only if the run steps,
+for its cap; a run that takes no step returns its start itself.
 ``_BIJECTIONS`` declares the four pairs once, with their classes and what they
 carry; the theorem suite, the CLI's map choices and the tests read it.
 """
@@ -314,17 +317,24 @@ def unfold_step(state: PairState) -> StepResult:
 
 
 def _iterate(
-    start: PairState,
+    start: tuple,
     move: Callable,
     direction: str,
     steps: list[TraceStep] | None = None,
-) -> PairState:
+) -> tuple:
     """Apply ``move`` from ``start`` until it reports the terminal state.
 
+    ``start`` is a :class:`PairState` or, for a run without a trace, the bare
+    tuple ``(j, k, lam, odd)`` of one.  A run that takes no step returns
+    ``start`` itself; a bare start that steps is sealed into a
+    :class:`PairState` first, since the cap reads its pair weight.
+
     With a list ``steps``, each step is sealed and appended as a
-    :class:`TraceStep`.  Without one, each buffer is sorted in place, its
-    smallest part checked, and passed on as the next move's ``parts``; only
-    the end state is sealed.  The weight checks that this skips in between
+    :class:`TraceStep`, and the end is the last one's :class:`PairState`.
+    Without one, each buffer is sorted in place, its smallest part checked,
+    and passed on as the next move's ``parts``; only the end partition is
+    sealed, and the end is the bare tuple ``(j, k, lam, odd)``.  The weight
+    checks that this skips in between
     cannot fail there: the parts come from integer arithmetic on a validated
     partition, whose weight only grows along a fold run and only shrinks
     along an unfold run.  The cap holds either way.
@@ -333,6 +343,8 @@ def _iterate(
     result = move(j, k, odd, lam._parts)
     if result is None:
         return start
+    if type(start) is tuple:  # a bare start is sealed only once it steps
+        start = tuple.__new__(PairState, start)
     # Loose cap; legal runs finish far earlier, so exceeding it is a bug.
     cap = 2 * start.pair_weight + 2 * start.k + 4
     cur = start
@@ -355,7 +367,7 @@ def _iterate(
             cur, buf = after, after.lam._parts
         result = move(j, k, odd, buf)
         if result is None:
-            return cur if steps is not None else tuple.__new__(PairState, (j, k, _sealed(buf), odd))
+            return cur if steps is not None else (j, k, _sealed(buf), odd)
     raise IterationLimitError(f"{direction} iteration exceeded the cap of {cap} steps")
 
 
@@ -374,8 +386,9 @@ def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
 
 
 # One body per direction for the maps below, which check j first: it checks the
-# domain, builds the start state unchecked, runs the moves through ``pair`` or
-# else _iterate with no step list, and finishes.  A later DomainError is a bug,
+# domain, builds the start state as a bare tuple, runs the moves through ``pair``
+# (on that tuple sealed, unchecked, into a PairState) or else _iterate with no
+# step list, unpacks the end, and finishes.  A later DomainError is a bug,
 # re-raised as IterationLimitError naming the traced map or ``where``.
 def _folded(j: int, lam: Partition, odd: bool, pair=None):
     # no part j + 1: the run is 0, with no split built (an odd entry then rejects lam)
@@ -385,13 +398,13 @@ def _folded(j: int, lam: Partition, odd: bool, pair=None):
     if run % 2 != odd:
         parity = "even" if odd else "odd"
         raise DomainError(f"{lam.to_text()!r} does not have an {parity} mex offset at j={j}")
-    start = tuple.__new__(PairState, (j, run // 2, rest, odd))
+    start = (j, run // 2, rest, odd)
     if pair is None:
-        end = _iterate(start, _fold_move, "fold")
+        _, _, end, _ = _iterate(start, _fold_move, "fold")
     else:
-        end, trace = pair(start)
+        (_, _, end, _), trace = pair(tuple.__new__(PairState, start))
     try:
-        out = attach_step(j, end.lam) if odd else end.lam
+        out = attach_step(j, end) if odd else end
     except DomainError as exc:
         raise _invariant_broken("fold_complement", exc) from exc
     return out if pair is None else (out, trace)
@@ -402,13 +415,13 @@ def _unfolded(j: int, lam: Partition, odd: bool, pair=None, where=None):
         lam = detach_step(j, lam)
     elif _has_arm(lam._parts, j):
         raise DomainError(f"{lam.to_text()!r} has arm {j}; unfolding requires it absent")
-    start = tuple.__new__(PairState, (j, 0, lam, odd))
+    start = (j, 0, lam, odd)
     if pair is None:
-        end = _iterate(start, _unfold_move, "unfold")
+        _, k, end, _ = _iterate(start, _unfold_move, "unfold")
     else:
-        end, trace = pair(start)
+        (_, k, end, _), trace = pair(tuple.__new__(PairState, start))
     try:
-        out = _mex_join(j, 2 * end.k + odd, end.lam)
+        out = _mex_join(j, 2 * k + odd, end)
     except DomainError as exc:
         raise _invariant_broken(where or ("unfold_complement" if odd else "unfold"), exc) from exc
     return out if pair is None else (out, trace)

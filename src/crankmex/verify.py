@@ -286,6 +286,8 @@ def _bijection(name, pair, classes, min_weight, odd, carried):
     (``odd`` not None) runs its bodies ``_folded``/``_unfolded`` with that
     flag, as ``crankmex map`` does, and builds no trace.  The check verifies
     weight, ``carried(parts, j)``, injectivity, the image set and round trips.
+    It compares ``carried`` only on an image that is a new object: an image
+    that is its input itself (a fold run that takes no step) carries all of it.
     """
     (forward, backward), (domain, codomain), traced = pair, classes, odd is not None
     if traced:  # the bodies that the traced maps and the composites share
@@ -301,7 +303,7 @@ def _bijection(name, pair, classes, min_weight, odd, carried):
             image = fwd_map(j, lam, odd) if traced else fwd_map(j, lam)
             if image._weight != lam._weight:
                 return lam.to_text(), "weight not preserved"
-            if keep and keep(lam._parts, j) != keep(image._parts, j):
+            if keep and image is not lam and keep(lam._parts, j) != keep(image._parts, j):
                 return lam.to_text(), "conserved quantity broken"
             fwd[lam._parts] = image._parts
         images = set(fwd.values())

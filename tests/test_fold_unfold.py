@@ -311,13 +311,17 @@ def test_complement_maps_run_as_the_plain_maps_one_step_up():
 # -- the step cap ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bare", [False, True], ids=["PairState", "bare-tuple"])
 @pytest.mark.parametrize("keep_trace", [False, True])
 @pytest.mark.parametrize("extra", [0, 1])
-def test_iteration_cap_boundary(keep_trace, extra):
+def test_iteration_cap_boundary(keep_trace, extra, bare):
     # A fake move that steps `cap + extra` times and then reports the
     # terminal state: exactly `cap` steps end normally, one more is an error
-    # raised after `cap + 1` move calls.
+    # raised after `cap + 1` move calls.  A bare (j, k, lam, odd) start, as an
+    # untraced body passes it, gets the same cap once it steps.
     start = PairState(1, 2, P("2,1"))  # staircase (5,4,3,2): pair weight 17
+    if bare:
+        start = tuple(start)
     cap = 2 * 17 + 2 * 2 + 4
     calls = []
 

@@ -119,10 +119,12 @@ def _run(start, move, direction, steps=None):
 
 def test_iterations_with_and_without_a_trace_agree_and_replay():
     # _iterate builds states only when it keeps a trace; both runs must end
-    # alike, and every traced step must be what the public step map returns
+    # alike, also from the bare (j, k, lam, odd) tuple that the untraced
+    # bodies pass, and every traced step must be what the public step map returns
     ends = Counter()
     for j, k, parts, odd in _states():
         start = PairState(j, k, Partition(parts), odd=odd)
+        bare = tuple(start)
         for direction, move, step in (
             ("fold", _fold_move, fold_step),
             ("unfold", _unfold_move, unfold_step),
@@ -130,6 +132,10 @@ def test_iterations_with_and_without_a_trace_agree_and_replay():
             steps = []
             end = _run(start, move, direction, steps)
             assert _run(start, move, direction) == end, (direction, start)
+            bare_end = _run(bare, move, direction)
+            assert bare_end == end, (direction, start)
+            if not steps and not isinstance(end, str):
+                assert bare_end is bare, (direction, start)  # no step: the start itself
             for s in steps:
                 assert s.direction == direction
                 assert step(s.before) == StepResult(s.after, s.case, s.d), (direction, start)

@@ -472,6 +472,38 @@ def test_suite_reads_what_fold_carries_from_maps_when_it_runs(monkeypatch):
     }
 
 
+def test_suite_compares_what_fold_carries_only_on_new_images(monkeypatch):
+    # each fold-row element goes through _folded once, with odd set by its mex
+    # offset; an image that is its input object carries everything, so the
+    # check reads _fold_carries (twice) only for an image that is a new object
+    maps = crankmex.maps
+    max_n, max_j = 8, 3
+    images = [
+        (lam, maps._folded(j, lam, not lam.has_odd_mex(j)))
+        for n in range(max_n + 1)
+        for lam in partitions_of(n)
+        for j in range(max_j + 1)
+    ]
+    new = sum(image is not lam for lam, image in images)
+    assert 0 < new < len(images)
+    calls, carries = [], maps._fold_carries
+    monkeypatch.setattr(maps, "_fold_carries", lambda parts, j: calls.append(j) or carries(parts, j))
+    assert run_theorem_suite(max_n, max_j).all_passed
+    assert len(calls) == 2 * new
+
+    # the skip keys on identity: a body that returns an equal copy in place of
+    # its input gets every image compared
+    def copied(j, lam, odd, *rest, **where):
+        image = body(j, lam, odd, *rest, **where)
+        return Partition(lam.parts) if image is lam else image
+
+    body = maps._folded
+    monkeypatch.setattr(maps, "_folded", copied)
+    calls.clear()
+    assert run_theorem_suite(max_n, max_j).all_passed
+    assert len(calls) == 2 * len(images)
+
+
 # the two arm-bearing partitions of 4 at j = 0, of two parts and of four
 _SWAPPED_ARM_BEARING = {(2, 2): Partition((1, 1, 1, 1)), (1, 1, 1, 1): Partition((2, 2))}
 
