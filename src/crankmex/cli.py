@@ -46,10 +46,10 @@ _ALL_MAPS = sorted([*_PAIR_MAPS, "negate-crank"])
 MAX_J = 1000
 
 # Upper bound on verify --max-n and --max-j.  The suite's time roughly doubles
-# every +3 in weight: at this bound and --max-j 12 it takes about two minutes
-# (33 s at 34 on a 2.0 GHz Xeon), at the enumeration limit (60) hours.  Each
-# partition is classified once per weight; every j then costs one cheap loop
-# over the weight's partitions, and its checks, even where j >= n.
+# every +3 in weight: at this bound and --max-j 12 it takes about 50 s (13 s at
+# 34 on a 2-vCPU Xeon, Python 3.11.7), at the enumeration limit (60) hours.
+# Each partition is classified once per weight; every j then costs one cheap
+# loop over the weight's partitions, and its checks, even where j >= n.
 MAX_VERIFY_WEIGHT = 40
 
 # Upper bound on the weight of a map or trace input.  A run at weight n takes

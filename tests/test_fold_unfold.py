@@ -311,35 +311,33 @@ def test_complement_maps_run_as_the_plain_maps_one_step_up():
 # -- the step cap ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bare", [False, True], ids=["PairState", "bare-tuple"])
 @pytest.mark.parametrize("keep_trace", [False, True])
 @pytest.mark.parametrize("extra", [0, 1])
-def test_iteration_cap_boundary(keep_trace, extra, bare):
+def test_iteration_cap_boundary(keep_trace, extra):
     # A fake move that steps `cap + extra` times and then reports the
     # terminal state: exactly `cap` steps end normally, one more is an error
     # raised after `cap + 1` move calls.  A bare (j, k, lam, odd) start, as an
     # untraced body passes it, gets the same cap once it steps.
-    start = PairState(1, 2, P("2,1"))  # staircase (5,4,3,2): pair weight 17
-    if bare:
-        start = tuple(start)
+    state = PairState(1, 2, P("2,1"))  # staircase (5,4,3,2): pair weight 17
     cap = 2 * 17 + 2 * 2 + 4
-    calls = []
+    for start in (state, tuple(state)):
+        calls = []
 
-    def move(j, k, odd, parts):
-        calls.append(parts)
-        if len(calls) > cap + extra:
-            return None
-        return 1, 0, k, list(parts)
+        def move(j, k, odd, parts):
+            calls.append(parts)
+            if len(calls) > cap + extra:
+                return None
+            return 1, 0, k, list(parts)
 
-    steps = [] if keep_trace else None
-    if extra:
-        with pytest.raises(IterationLimitError) as info:
-            maps._iterate(start, move, "fold", steps)
-        assert str(info.value) == f"fold iteration exceeded the cap of {cap} steps"
-    else:
-        assert maps._iterate(start, move, "fold", steps) == start
-        assert steps is None or len(steps) == cap
-    assert len(calls) == cap + 1
+        steps = [] if keep_trace else None
+        if extra:
+            with pytest.raises(IterationLimitError) as info:
+                maps._iterate(start, move, "fold", steps)
+            assert str(info.value) == f"fold iteration exceeded the cap of {cap} steps"
+        else:
+            assert maps._iterate(start, move, "fold", steps) == start
+            assert steps is None or len(steps) == cap
+        assert len(calls) == cap + 1, type(start)
 
 
 def test_zero_run_starts_never_split(monkeypatch):

@@ -493,11 +493,12 @@ def test_suite_compares_what_fold_carries_only_on_new_images(monkeypatch):
 
     # the skip keys on identity: a body that returns an equal copy in place of
     # its input gets every image compared
+    body = maps._folded
+
     def copied(j, lam, odd, *rest, **where):
         image = body(j, lam, odd, *rest, **where)
         return Partition(lam.parts) if image is lam else image
 
-    body = maps._folded
     monkeypatch.setattr(maps, "_folded", copied)
     calls.clear()
     assert run_theorem_suite(max_n, max_j).all_passed
