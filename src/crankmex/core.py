@@ -137,6 +137,11 @@ def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
     return cols
 
 
+def _text(parts: Sequence[int]) -> str:
+    """:meth:`Partition.to_text` of the sorted ``parts``."""
+    return ",".join(map(str, parts))
+
+
 class Partition:
     """A finite non-increasing sequence of positive integers.
 
@@ -206,7 +211,7 @@ class Partition:
 
     def to_text(self) -> str:
         """Comma-separated parts; the empty string denotes the empty partition."""
-        return ",".join(str(p) for p in self._parts)
+        return _text(self._parts)
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -295,7 +300,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram; an involution preserving weight."""
-        return _sealed_in_order(_conjugate_parts(self._parts), "conjugate")  # built in order
+        return _sealed(_in_order(_conjugate_parts(self._parts), "conjugate"))
 
     def durfee_triple(self) -> "DurfeeTriple":
         """Durfee decomposition ``(size, arms, legs)``.
@@ -314,20 +319,14 @@ class Partition:
 def _sealed(buf: list) -> Partition:
     """Partition of the parts in ``buf``, which is sorted here in place.
 
-    Builds every map output: its parts come from integer arithmetic on the
-    parts of a partition already validated.  ``negate_crank`` and ``conjugate``
-    build theirs in order and check that first (:func:`_sealed_in_order`).
-    The other maps delete parts where they stand and put new ones at the head
-    of ``buf``: ``sort(reverse=True)`` reverses the list first, so the
-    untouched parts form one run, found in one linear pass, and only the new
-    ones are binary-inserted.  The sort sets the order, so unlike
-    the public constructor this does not walk the parts: it checks only what
-    the sort leaves open, a positive smallest part and an exact ``int`` weight
-    (a float, ``Decimal`` or ``Fraction`` part makes the sum one, and a part
-    the sort cannot compare with ``int`` is named too), and the weight cap.
-    The weight is always recomputed, never taken on trust.  A failed part
-    check is a map bug (:class:`IterationLimitError`); only the weight cap,
-    which valid inputs reach, raises :class:`PartitionError`.
+    Builds every map output, once per map call, from integer arithmetic on the
+    parts of a validated partition.  The maps put new parts at the head of
+    ``buf``, so the reversed sort finds the untouched ones as one run in one
+    linear pass.  The sort sets the order; this checks what it leaves open, a
+    positive smallest part and an exact ``int`` weight (a float, ``Decimal``,
+    ``Fraction`` or incomparable part is named), and the cap on the weight,
+    always recomputed.  A bad part is a map bug (:class:`IterationLimitError`);
+    only the cap, which valid inputs reach, raises :class:`PartitionError`.
     """
     try:
         buf.sort(reverse=True)
@@ -348,8 +347,19 @@ def _sealed(buf: list) -> Partition:
     return lam
 
 
-def _sealed_in_order(buf: list, where: str) -> Partition:
-    """:func:`_sealed`, after checking the order that ``where`` built ``buf`` in."""
+def _sorted(buf: list) -> list:
+    """``buf`` sorted in place and its smallest part checked, as :func:`_sealed` does."""
+    try:
+        buf.sort(reverse=True)
+        if buf and buf[-1] < 1:
+            _sealed(buf)  # raises, naming the first bad part
+    except TypeError:  # a part that does not compare with int
+        _sealed(buf)  # raises, naming it
+    return buf
+
+
+def _in_order(buf: list, where: str) -> list:
+    """``buf``, built in order by ``where``; a misordered part, which a sort would hide, is named."""
     try:
         ordered = buf == sorted(buf, reverse=True)
     except TypeError:  # a part that does not compare with int: named below
@@ -359,7 +369,7 @@ def _sealed_in_order(buf: list, where: str) -> Partition:
             _checked_weight(tuple(buf))
         except PartitionError as exc:
             raise _invariant_broken(where, exc) from exc
-    return _sealed(buf)
+    return buf
 
 
 class DurfeeTriple(NamedTuple):
@@ -389,18 +399,17 @@ def mex_split(j: int, lam: Partition) -> MexDecomposition:
     ``run == lam.mex(j) - j - 1``; total on all partitions.
     """
     _check_nonnegative("j", j)
-    return _mex_split(j, lam)
+    run, rest = _mex_split(j, lam._parts)
+    return MexDecomposition(j, run, _sealed(rest))
 
 
-def _mex_split(j: int, lam: Partition) -> MexDecomposition:
-    """Unchecked :func:`mex_split` for a validated ``j``."""
-    run = _mex(lam._parts, j) - j - 1
-    buf = list(lam._parts)
+def _mex_split(j: int, parts: Sequence[int]) -> tuple[int, list[int]]:
+    """Unchecked :func:`mex_split` of sorted ``parts``: ``run`` and ``rest`` as a sorted list."""
+    run = _mex(parts, j) - j - 1
+    rest = list(parts)
     for v in range(j + 1, j + run + 1):
-        buf.remove(v)
-    # tuple.__new__ skips the named tuple's Python-level __new__, as the maps'
-    # PairState and Trace do
-    return tuple.__new__(MexDecomposition, (j, run, _sealed(buf)))
+        rest.remove(v)
+    return run, rest
 
 
 def mex_join(j: int, run: int, rest: Partition) -> Partition:
@@ -410,20 +419,20 @@ def mex_join(j: int, run: int, rest: Partition) -> Partition:
     """
     _check_nonnegative("j", j)
     _check_nonnegative("run", run)
-    return _mex_join(j, run, rest)
+    parts = _mex_join(j, run, rest._parts)
+    return rest if parts is rest._parts else _sealed(parts)
 
 
-def _mex_join(j: int, run: int, rest: Partition) -> Partition:
-    """Unchecked :func:`mex_join` for a validated ``j`` and ``run``.
+def _mex_join(j: int, run: int, parts: Sequence[int]) -> Sequence[int]:
+    """Unchecked :func:`mex_join` on sorted ``parts``: ``parts`` itself for run 0, else a list.
 
     The containment check is part of the join's domain, not of its
     arguments' types, so it stays here.
     """
-    if j + run + 1 in rest._parts:
+    if j + run + 1 in parts:
         raise DomainError(
             f"rest must not contain the part {j + run + 1} excluded by the mex split"
         )
     if run == 0:
-        return rest
-    buf = [*range(j + 1, j + run + 1), *rest._parts]
-    return _sealed(buf)
+        return parts
+    return [*range(j + 1, j + run + 1), *parts]

@@ -25,16 +25,16 @@ Every function is pure.  Each direction has one private body, ``_folded`` or
 ``_unfolded``.  Only the four traced maps run it through :func:`fold_pair` or
 :func:`unfold_pair`, which build their traces; :func:`mex_to_crank`,
 :func:`crank_to_mex`, the theorem suite's fold rows and the CLI's ``map`` and
-``table`` run it without one.
-States (:class:`PairState`), trace steps (:class:`TraceStep`) and traces
-(:class:`Trace`) are named tuples, so they compare and hash by their fields
-and equal the plain tuple of them; ``len(trace)`` counts the steps.
+``table`` run it without one.  States (:class:`PairState`), trace steps
+(:class:`TraceStep`) and traces (:class:`Trace`) are named tuples, so they
+compare and hash by their fields and equal the plain tuple of them;
+``len(trace)`` counts the steps.
 
-Every public map checks its ``j`` first, at its own entry.  The four that
-run a public arm map (the complement maps, :func:`mex_to_crank` and
-:func:`crank_to_mex`) check it once more there; the rest is unchecked code:
-the bodies, the step moves, and the kernels ``_mex_split``, ``_mex_join`` and
-``_has_arm`` of :mod:`crankmex.core`.  The step loop checks no ``j``.
+Every public map checks its ``j`` once, first; the bodies, the moves and the
+stage kernels (``_detach``, ``_attach``, ``_to_low``, ``_from_low``,
+``_negated``, core's ``_mex_split`` and ``_mex_join``, each looked up when it
+runs) check none.  The stages pass sorted lists (``core._sorted``): an untraced
+call seals its output, and the list start of a run that steps, for its cap.
 
 Each direction has one move, ``_fold_move`` and ``_unfold_move``, on the bare
 fields ``(j, k, odd, parts)`` of a state.  One Durfee scan (fold) or one
@@ -43,13 +43,10 @@ terminal; the Durfee scan also decides which case applies.  Each edit
 deletes parts where they stand and puts its new parts at the head of its
 buffer (see ``core._sealed``).  :func:`fold_step` and :func:`unfold_step`
 wrap a move in a :class:`StepResult`; the iterated maps loop on the move
-itself.  Only a traced run seals every state into a :class:`PairState`; an
-untraced one starts from a bare ``(j, k, lam, odd)`` tuple, passes the sorted
-buffer on, and ends as a bare tuple around its sealed end partition, which the
-body unpacks.  A bare start becomes a :class:`PairState` only if the run steps,
-for its cap; a run that takes no step returns its start itself.
-``_BIJECTIONS`` declares the four pairs once, with their classes and what they
-carry; the theorem suite, the CLI's map choices and the tests read it.
+itself (``_iterate``), and only a traced run seals every state into a
+:class:`PairState`.  ``_BIJECTIONS`` declares the four pairs once, with their
+classes and what they carry; the theorem suite, the CLI's map choices and the
+tests read it.
 """
 
 from __future__ import annotations
@@ -66,11 +63,13 @@ from .core import (
     _conjugate_parts,
     _durfee_size,
     _has_arm,
+    _in_order,
     _invariant_broken,
     _mex_join,
     _mex_split,
     _sealed,
-    _sealed_in_order,
+    _sorted,
+    _text,
 )
 
 __all__ = [
@@ -198,10 +197,8 @@ class Trace(_TraceFields):
         return result
 
 
-# Every edit on the Durfee arms shifts rows first: it adds 1 to, or subtracts
-# 1 from, each of the d (or d - 1) largest parts, which keeps them in order.
-# Then it deletes a few parts of the list this returns and inserts its new
-# parts at the head, and leaves the list for the caller to pass to _sealed.
+# Every edit on the Durfee arms shifts rows first, which keeps them in order,
+# then deletes parts of the list this returns and inserts new ones at its head.
 def _shifted(parts: Sequence[int], d: int, by: int) -> list[int]:
     """The parts as a list, with ``by`` added to each of the ``d`` largest."""
     buf = list(parts)
@@ -211,8 +208,8 @@ def _shifted(parts: Sequence[int], d: int, by: int) -> list[int]:
 
 
 # The moves (see the module docstring).  A move returns None at the terminal
-# state, else (case, d, new_k, buf) with buf the unsorted parts for _sealed,
-# or None with FIXED_POINT when the state maps to itself.
+# state, else (case, d, new_k, buf) with buf its edit buffer, or None with
+# FIXED_POINT when the state maps to itself.
 def _fold_move(j: int, k: int, odd: bool, parts: Sequence[int]):
     s = j + 2 * k + (1 if odd else 0)  # the staircase top
     d = _durfee_size(parts, s)
@@ -325,26 +322,22 @@ def _iterate(
     """Apply ``move`` from ``start`` until it reports the terminal state.
 
     ``start`` is a :class:`PairState` or, for a run without a trace, the bare
-    tuple ``(j, k, lam, odd)`` of one.  A run that takes no step returns
-    ``start`` itself; a bare start that steps is sealed into a
-    :class:`PairState` first, since the cap reads its pair weight.
-
-    With a list ``steps``, each step is sealed and appended as a
+    tuple ``(j, k, lam, odd)`` of one, whose ``lam`` may be a sorted list.  A
+    run that takes no step returns ``start`` itself; a bare start that steps
+    is sealed into a :class:`PairState` first, since the cap reads its pair
+    weight.  With a list ``steps``, each step is sealed and appended as a
     :class:`TraceStep`, and the end is the last one's :class:`PairState`.
-    Without one, each buffer is sorted in place, its smallest part checked,
-    and passed on as the next move's ``parts``; only the end partition is
-    sealed, and the end is the bare tuple ``(j, k, lam, odd)``.  The weight
-    checks that this skips in between
-    cannot fail there: the parts come from integer arithmetic on a validated
-    partition, whose weight only grows along a fold run and only shrinks
-    along an unfold run.  The cap holds either way.
+    Without one, each buffer goes through ``core._sorted`` and on to the next
+    move, and the end is the bare tuple ``(j, k, buf, odd)``: no weight check
+    in between can fail, as the weight only grows along a fold run and only
+    shrinks along an unfold run.
     """
     j, k, lam, odd = start
-    result = move(j, k, odd, lam._parts)
+    result = move(j, k, odd, lam if type(lam) is list else lam._parts)
     if result is None:
         return start
     if type(start) is tuple:  # a bare start is sealed only once it steps
-        start = tuple.__new__(PairState, start)
+        start = tuple.__new__(PairState, (j, k, _sealed(lam) if type(lam) is list else lam, odd))
     # Loose cap; legal runs finish far earlier, so exceeding it is a bug.
     cap = 2 * start.pair_weight + 2 * start.k + 4
     cur = start
@@ -355,19 +348,14 @@ def _iterate(
                 f"{direction} iteration reached a fixed state outside the stop set"
             )
         if steps is None:
-            try:
-                buf.sort(reverse=True)
-                if buf and buf[-1] < 1:
-                    _sealed(buf)  # raises, naming the first bad part
-            except TypeError:  # a part that does not compare with int
-                _sealed(buf)  # raises, naming it
+            _sorted(buf)
         else:
             after = tuple.__new__(PairState, (j, k, _sealed(buf), odd))
             steps.append(tuple.__new__(TraceStep, (direction, case, d, cur, after)))
             cur, buf = after, after.lam._parts
         result = move(j, k, odd, buf)
         if result is None:
-            return cur if steps is not None else (j, k, _sealed(buf), odd)
+            return cur if steps is not None else (j, k, buf, odd)
     raise IterationLimitError(f"{direction} iteration exceeded the cap of {cap} steps")
 
 
@@ -385,45 +373,119 @@ def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
     return end, tuple.__new__(Trace, ("unfold", state, end, tuple(steps)))
 
 
+# The stage kernels: on sorted parts and a validated j, each raises DomainError
+# outside its domain (building the text only then) or returns its edit buffer,
+# which its map seals and a composite passes to _sorted for the next stage.
+def _detach(j: int, parts: Sequence[int]) -> list[int]:
+    d = _durfee_size(parts, j)
+    if not (d and parts[d - 1] - d == j):
+        raise DomainError(f"{_text(parts)!r} has no arm {j} to detach")
+    buf = _shifted(parts, d - 1, 1)
+    del buf[d - 1]  # part(d)
+    return buf
+
+
+def _attach(j: int, parts: Sequence[int]) -> list[int]:
+    s = j + 1
+    d = _durfee_size(parts, s)
+    if d and parts[d - 1] - d == s:
+        raise DomainError(f"{_text(parts)!r} has arm {s}; attaching requires it absent")
+    buf = _shifted(parts, d, -1)
+    buf.insert(0, d + s)
+    return buf
+
+
+def _to_low(j: int, parts: Sequence[int]) -> list[int]:
+    if len(parts) < 2 and sum(parts) <= 1:  # weight at most 1
+        raise DomainError("defined only for partitions of weight at least 2")
+    if j and j not in parts:
+        raise DomainError(f"{_text(parts)!r} has no part {j}")
+    d = _durfee_size(parts, j)
+    if d and parts[d - 1] - d == j:
+        raise DomainError(f"{_text(parts)!r} has arm {j}")
+    buf = _shifted(parts, d, -1)
+    if j:
+        buf.remove(j)  # any copy: the buffer is sorted later
+    buf += [1] * (d + j)
+    return buf
+
+
+def _from_low(j: int, parts: Sequence[int], crank: int) -> list[int]:  # crank of parts
+    if len(parts) < 2 and sum(parts) <= 1:
+        raise DomainError("defined only for partitions of weight at least 2")
+    if crank > -j:
+        raise DomainError(f"{_text(parts)!r} has crank {crank} > {-j}")
+    d = _durfee_size(parts, j)
+    ones = d + j  # at least 1: weight above 1 makes d >= 1 when j == 0
+    if parts[d:].count(1) < ones:  # the 1s lie below the d rows to shift
+        raise IterationLimitError("missing guaranteed trailing 1s (bug)")
+    buf = _shifted(parts, d, 1)
+    del buf[-ones:]
+    if j:
+        buf.insert(0, j)
+    return buf
+
+
+def _negated(parts: Sequence[int]) -> list[int]:
+    if len(parts) < 2 and sum(parts) <= 1:
+        raise DomainError("defined only for partitions of weight at least 2")
+    ones = parts.count(1)
+    if ones == 0:
+        out = [*parts[1:]] + [1] * parts[0]
+    elif parts[0] <= ones:  # t == 0
+        out = [ones, *parts[: len(parts) - ones]]
+    else:
+        r = max(ones, parts[1] - 1)
+        conj = _conjugate_parts(parts[: len(parts) - ones])  # the 1s add only to conj[0]
+        out = [conj[1] + parts[0] - r]
+        out += map((1).__add__, conj[1:ones])  # no comprehension, as in _shifted
+        out += conj[ones + 1 : r + 1]
+        out += [1] * conj[ones]  # t == c(w + 1)
+    return _in_order(out, "negate_crank")  # built in order: checked, not sorted
+
+
 # One body per direction for the maps below, which check j first: it checks the
-# domain, builds the start state as a bare tuple, runs the moves through ``pair``
-# (on that tuple sealed, unchecked, into a PairState) or else _iterate with no
-# step list, unpacks the end, and finishes.  A later DomainError is a bug,
-# re-raised as IterationLimitError naming the traced map or ``where``.
+# domain, runs the moves from a bare start through ``pair`` (on it sealed,
+# unchecked, into a PairState) or else _iterate with no step list, runs the last
+# kernel and seals the output unless it is lam itself.  A later DomainError is
+# a bug, re-raised as IterationLimitError naming the traced map or ``where``.
 def _folded(j: int, lam: Partition, odd: bool, pair=None):
     # no part j + 1: the run is 0, with no split built (an odd entry then rejects lam)
-    run, rest = 0, lam
-    if j + 1 in lam._parts:
-        _, run, rest = _mex_split(j, lam)
+    run, rest = _mex_split(j, lam._parts) if j + 1 in lam._parts else (0, lam)
     if run % 2 != odd:
         parity = "even" if odd else "odd"
         raise DomainError(f"{lam.to_text()!r} does not have an {parity} mex offset at j={j}")
-    start = (j, run // 2, rest, odd)
-    if pair is None:
-        _, _, end, _ = _iterate(start, _fold_move, "fold")
+    if pair is None:  # the end is lam itself, or a sorted list
+        end = _iterate((j, run // 2, rest, odd), _fold_move, "fold")[2]
     else:
+        start = (j, run // 2, rest if rest is lam else _sealed(rest), odd)
         (_, _, end, _), trace = pair(tuple.__new__(PairState, start))
-    try:
-        out = attach_step(j, end) if odd else end
-    except DomainError as exc:
-        raise _invariant_broken("fold_complement", exc) from exc
+    if odd:
+        try:
+            end = _attach(j, end if type(end) is list else end._parts)
+        except DomainError as exc:
+            raise _invariant_broken("fold_complement", exc) from exc
+    out = _sealed(end) if type(end) is list else end
     return out if pair is None else (out, trace)
 
 
-def _unfolded(j: int, lam: Partition, odd: bool, pair=None, where=None):
+def _unfolded(j: int, lam: Partition | list[int], odd: bool, pair=None, where=None):
+    parts = lam if type(lam) is list else lam._parts  # a list from crank_to_mex
     if odd:
-        lam = detach_step(j, lam)
-    elif _has_arm(lam._parts, j):
-        raise DomainError(f"{lam.to_text()!r} has arm {j}; unfolding requires it absent")
-    start = (j, 0, lam, odd)
-    if pair is None:
-        _, k, end, _ = _iterate(start, _unfold_move, "unfold")
+        lam = parts = _sorted(_detach(j, parts))
+    elif _has_arm(parts, j):
+        raise DomainError(f"{_text(parts)!r} has arm {j}; unfolding requires it absent")
+    if pair is None:  # the end is lam itself, or a sorted list
+        _, k, end, _ = _iterate((j, 0, lam, odd), _unfold_move, "unfold")
     else:
+        start = (j, 0, _sealed(lam) if type(lam) is list else lam, odd)
         (_, k, end, _), trace = pair(tuple.__new__(PairState, start))
+    rest = end if type(end) is list else end._parts
     try:
-        out = _mex_join(j, 2 * k + odd, end)
+        out = _mex_join(j, 2 * k + odd, rest)
     except DomainError as exc:
         raise _invariant_broken(where or ("unfold_complement" if odd else "unfold"), exc) from exc
+    out = _sealed(out) if type(out) is list else end  # a join of run 0 returns its parts
     return out if pair is None else (out, trace)
 
 
@@ -454,26 +516,13 @@ def detach_step(j: int, lam: Partition) -> Partition:
     Exact inverse of :func:`attach_step`.
     """
     _check_nonnegative("j", j)
-    parts = lam._parts
-    d = _durfee_size(parts, j)
-    if not (d and parts[d - 1] - d == j):
-        raise DomainError(f"{lam.to_text()!r} has no arm {j} to detach")
-    buf = _shifted(parts, d - 1, 1)
-    del buf[d - 1]  # part(d)
-    return _sealed(buf)
+    return _sealed(_detach(j, lam._parts))
 
 
 def attach_step(j: int, lam: Partition) -> Partition:
     """Inverse of :func:`detach_step`: absorb the one-part staircase ``(j+1,)``."""
     _check_nonnegative("j", j)
-    parts = lam._parts
-    s = j + 1
-    d = _durfee_size(parts, s)
-    if d and parts[d - 1] - d == s:
-        raise DomainError(f"{lam.to_text()!r} has arm {s}; attaching requires it absent")
-    buf = _shifted(parts, d, -1)
-    buf.insert(0, d + s)
-    return _sealed(buf)
+    return _sealed(_attach(j, lam._parts))
 
 
 def fold_complement(j: int, lam: Partition) -> tuple[Partition, Trace]:
@@ -504,19 +553,7 @@ def to_low_crank(j: int, lam: Partition) -> Partition:
     exact inverse :func:`from_low_crank`.
     """
     _check_nonnegative("j", j)
-    if lam._weight <= 1:
-        raise DomainError("defined only for partitions of weight at least 2")
-    parts = lam._parts
-    if j and j not in parts:
-        raise DomainError(f"{lam.to_text()!r} has no part {j}")
-    d = _durfee_size(parts, j)
-    if d and parts[d - 1] - d == j:
-        raise DomainError(f"{lam.to_text()!r} has arm {j}")
-    buf = _shifted(parts, d, -1)
-    if j:
-        buf.remove(j)  # any copy: _sealed sorts the buffer
-    buf += [1] * (d + j)
-    return _sealed(buf)
+    return _sealed(_to_low(j, lam._parts))
 
 
 def from_low_crank(j: int, lam: Partition) -> Partition:
@@ -527,21 +564,7 @@ def from_low_crank(j: int, lam: Partition) -> Partition:
     exist: crank at most ``-j`` forces at least ``d + j`` of them.
     """
     _check_nonnegative("j", j)
-    if lam._weight <= 1:
-        raise DomainError("defined only for partitions of weight at least 2")
-    crank = lam.crank()
-    if crank > -j:
-        raise DomainError(f"{lam.to_text()!r} has crank {crank} > {-j}")
-    parts = lam._parts
-    d = _durfee_size(parts, j)
-    ones = d + j  # at least 1: weight above 1 makes d >= 1 when j == 0
-    if parts[d:].count(1) < ones:  # the 1s lie below the d rows to shift
-        raise IterationLimitError("missing guaranteed trailing 1s (bug)")
-    buf = _shifted(parts, d, 1)
-    del buf[-ones:]
-    if j:
-        buf.insert(0, j)
-    return _sealed(buf)
+    return _sealed(_from_low(j, lam._parts, lam.crank()))
 
 
 def negate_crank(lam: Partition) -> Partition:
@@ -559,22 +582,7 @@ def negate_crank(lam: Partition) -> Partition:
       of the parts above 1 (the 1s add only to ``c(1)``), and ``t`` is read
       from it as ``c(w + 1)``.
     """
-    if lam._weight <= 1:
-        raise DomainError("defined only for partitions of weight at least 2")
-    parts = lam._parts
-    ones = parts.count(1)
-    if ones == 0:
-        out = [*parts[1:]] + [1] * parts[0]
-    elif parts[0] <= ones:  # t == 0
-        out = [ones, *parts[: len(parts) - ones]]
-    else:
-        r = max(ones, parts[1] - 1)
-        conj = _conjugate_parts(parts[: len(parts) - ones])  # the 1s add only to conj[0]
-        out = [conj[1] + parts[0] - r]
-        out += map((1).__add__, conj[1:ones])  # no comprehension, as in _shifted
-        out += conj[ones + 1 : r + 1]
-        out += [1] * conj[ones]  # t == c(w + 1)
-    return _sealed_in_order(out, "negate_crank")  # built in order: checked, not sorted
+    return _sealed(_negated(lam._parts))
 
 
 def mex_to_crank(j: int, lam: Partition) -> Partition:
@@ -589,9 +597,12 @@ def mex_to_crank(j: int, lam: Partition) -> Partition:
         raise DomainError("defined only for partitions of weight at least 2")
     if j and j not in lam._parts:
         raise DomainError(f"{lam.to_text()!r} has no part {j}")
-    folded = _folded(j, lam, False)
+    run, rest = _mex_split(j, lam._parts) if j + 1 in lam._parts else (0, lam)  # as _folded
+    if run % 2:
+        raise DomainError(f"{lam.to_text()!r} does not have an odd mex offset at j={j}")
+    end = _iterate((j, run // 2, rest, False), _fold_move, "fold")[2]
     try:
-        return negate_crank(to_low_crank(j, folded))
+        return _sealed(_negated(_sorted(_to_low(j, end if type(end) is list else end._parts))))
     except DomainError as exc:
         raise _invariant_broken("mex_to_crank", exc) from exc
 
@@ -602,9 +613,9 @@ def crank_to_mex(j: int, lam: Partition) -> Partition:
     crank = lam.crank()
     if crank < j:
         raise DomainError(f"{lam.to_text()!r} has crank {crank} < {j}")
-    low = negate_crank(lam)
+    low = _sorted(_negated(lam._parts))  # of crank -crank
     try:
-        return _unfolded(j, from_low_crank(j, low), False, where="crank_to_mex")
+        return _unfolded(j, _sorted(_from_low(j, low, -crank)), False, where="crank_to_mex")
     except DomainError as exc:
         raise _invariant_broken("crank_to_mex", exc) from exc
 

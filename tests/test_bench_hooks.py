@@ -9,6 +9,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 from crankmex import cli, maps
 from crankmex.core import Partition
 
@@ -68,31 +70,53 @@ def test_traced_maps_reach_the_iterated_maps_through_the_module(monkeypatch):
         assert calls == [expected], fn.__name__
 
 
-def test_composites_reach_their_arm_maps_through_the_module(monkeypatch):
-    # A composite that ran an arm map's body another way would keep a fault
-    # or a tracer span placed on the arm map's public name from its stage.
+# (map, arguments, the kernels it runs, in order); each input makes every stage run
+_STAGED = (
+    (maps.detach_step, (1, Partition((5, 3))), ["_detach"]),
+    (maps.unfold_complement, (1, Partition((4, 3, 3, 3))), ["_detach"]),
+    (maps.attach_step, (1, Partition((7, 3))), ["_attach"]),
+    (maps.fold_complement, (1, Partition((4, 4, 3, 2))), ["_attach"]),
+    (maps.to_low_crank, (1, Partition((7, 1))), ["_to_low"]),
+    (maps.mex_to_crank, (1, Partition((3, 3, 2, 1))), ["_to_low", "_negated"]),
+    (maps.from_low_crank, (1, Partition((6, 1, 1))), ["_from_low"]),
+    (maps.crank_to_mex, (1, Partition((4, 4, 1))), ["_negated", "_from_low"]),
+    (maps.negate_crank, (Partition((4, 4, 1)),), ["_negated"]),
+)
+
+
+def test_a_kernel_patched_in_maps_reaches_its_map_and_the_composites(monkeypatch):
+    # The public maps, the bodies and the composites run each stage kernel by
+    # its name in maps, once per stage, so a fault or a wrapper placed there
+    # reaches the map of that stage and every composite that runs it.
     calls = []
 
     def counting(name):
         original = getattr(maps, name)
 
-        def wrapper(j, lam):
+        def wrapper(*args):
             calls.append(name)
-            return original(j, lam)
+            return original(*args)
 
         return wrapper
 
-    for name in ("detach_step", "attach_step", "to_low_crank", "from_low_crank"):
-        monkeypatch.setattr(maps, name, counting(name))
-    for fn, lam, expected in (
-        (maps.unfold_complement, Partition((4, 3, 3, 3)), "detach_step"),
-        (maps.fold_complement, Partition((4, 4, 3, 2)), "attach_step"),
-        (maps.mex_to_crank, Partition((3, 3, 2, 1)), "to_low_crank"),
-        (maps.crank_to_mex, Partition((4, 4, 1)), "from_low_crank"),
-    ):
-        calls.clear()
-        fn(1, lam)
-        assert calls == [expected], fn.__name__
+    def failing(*args):
+        raise ValueError("patched")
+
+    kernels = {name for _, _, names in _STAGED for name in names}
+    with monkeypatch.context() as patch:
+        for name in kernels:
+            patch.setattr(maps, name, counting(name))
+        for fn, args, expected in _STAGED:
+            calls.clear()
+            fn(*args)
+            assert calls == expected, fn.__name__
+    for name in kernels:
+        with monkeypatch.context() as patch:
+            patch.setattr(maps, name, failing)
+            for fn, args, expected in _STAGED:
+                if name in expected:
+                    with pytest.raises(ValueError, match="^patched$"):
+                        fn(*args)
 
 
 def test_maps_are_bound_only_in_maps():

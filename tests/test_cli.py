@@ -544,6 +544,7 @@ def _never_steps(j, k, odd, parts):
 
 
 _real_conjugate_parts = cli.maps._conjugate_parts
+_real_shifted = cli.maps._shifted
 
 
 def _adding(part, real_move):
@@ -557,6 +558,11 @@ def _adding(part, real_move):
         return case, d, new_k, buf + [part]
 
     return move
+
+
+def _with_zero(parts, d, by):
+    """``maps._shifted`` with a part 0 added to the list it returns."""
+    return [*_real_shifted(parts, d, by), 0]
 
 
 def _ascending_conjugate(parts):
@@ -573,9 +579,13 @@ def _ascending_conjugate(parts):
          "table row '7,2' broke an internal invariant: '7,2' has arm 0"),
         ("maps._unfold_move", _never_steps, ("map", "unfold", "13,10,9,9,4,3,2,2,1,1"),
          "unfold broke an internal invariant: rest must not contain the part 1"),
-        ("maps.from_low_crank", lambda j, lam: lam,
+        ("maps._from_low", lambda j, parts, crank: list(parts),
          ("map", "crank-to-mex", "12,10,8,7,6,5,5,1", "--j", "5"),
          "crank_to_mex broke an internal invariant: "),
+        # a stage's output is checked at that stage: the next one, negating
+        # the crank of 2,1,0, would drop the 0 and hide the bug
+        ("maps._shifted", _with_zero, ("map", "mex-to-crank", "3", "--j", "0"),
+         "a map output broke an internal invariant: part #3 must be positive, got 0\n"),
         # map runs the moves untraced: the first step's buffer is still checked
         ("maps._fold_move", _adding(0, cli.maps._fold_move),
          ("map", "fold", "11,8,7,7,5,5,4,3,2,2", "--j", "1"),
@@ -597,8 +607,8 @@ def _ascending_conjugate(parts):
          "conjugate broke an internal invariant: parts must be non-increasing: "
          "part #5 (2) exceeds part #4 (1)\n"),
     ],
-    ids=["map-mex-to-crank", "table", "map-unfold", "map-crank-to-mex", "map-fold",
-         "map-unfold-zero", "map-fold-none", "trace-fold-none", "map-negate-crank",
+    ids=["map-mex-to-crank", "table", "map-unfold", "map-crank-to-mex", "map-mex-to-crank-zero",
+         "map-fold", "map-unfold-zero", "map-fold-none", "trace-fold-none", "map-negate-crank",
          "stats-conjugate"],
 )
 def test_broken_invariant_inside_a_map_exits_three(

@@ -8,6 +8,7 @@ from crankmex import (
     from_low_crank,
     mex_to_crank,
     negate_crank,
+    partitions_of,
     to_low_crank,
 )
 from crankmex import maps
@@ -137,6 +138,32 @@ def test_composed_map_domain_errors():
         crank_to_mex(3, P("2,1"))  # crank 0 < 3
 
 
+def test_crank_to_mex_computes_the_crank_once(monkeypatch):
+    # the entry check reads the crank; the negated input's crank is its
+    # negative, so the from-low stage is handed it instead of computing it
+    cases = [
+        (j, lam)
+        for n in range(2, 13)
+        for lam in partitions_of(n)
+        for j in range(4)
+        if lam.crank() >= j
+    ]
+    images = [crank_to_mex(j, lam) for j, lam in cases]
+    calls = []
+    crank = Partition.crank
+
+    def counting(self):
+        calls.append(self)
+        return crank(self)
+
+    monkeypatch.setattr(Partition, "crank", counting)
+    for (j, lam), image in zip(cases, images):
+        calls.clear()
+        assert crank_to_mex(j, lam) == image
+        assert calls == [lam], (j, lam)
+    assert len(cases) == 450
+
+
 def test_composite_keeps_the_iteration_cap(monkeypatch):
     # a move that grows the staircase forever: never terminal, never fixed;
     # it gives up on its own long after the cap (14 steps here), so a missing
@@ -162,7 +189,7 @@ def _never_steps(j, k, odd, parts):
     "name,patched,replacement,j,source,cause",
     [
         ("mex_to_crank", "_fold_move", _never_steps, 0, "11,8,7,7,5,5,4,3,2,2", "has arm 0"),
-        ("crank_to_mex", "from_low_crank", lambda j, lam: lam, 5, "12,10,8,7,6,5,5,1",
+        ("crank_to_mex", "_from_low", lambda j, parts, crank: list(parts), 5, "12,10,8,7,6,5,5,1",
          "has arm 5; unfolding requires it absent"),
         ("unfold", "_unfold_move", _never_steps, 0, "13,10,9,9,4,3,2,2,1,1",
          "rest must not contain the part 1"),

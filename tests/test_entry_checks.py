@@ -1,10 +1,9 @@
 """Every public map taking ``j`` checks it first, at its entry, before anything else.
 
-The four that run a public arm map check it once more there; everything else
-they run is unchecked.  A bad ``j`` must still be rejected with the one
-message of ``_check_nonnegative``, never reach a kernel as a partition or a
-misleading domain error, and a valid call must pay for the check exactly as
-many times as the public maps it runs.
+Everything else it runs, the stage kernels included, is unchecked.  A bad
+``j`` must still be rejected with the one message of ``_check_nonnegative``,
+never reach a kernel as a partition or a misleading domain error, and a
+valid call must pay for the check exactly once.
 """
 
 import pytest
@@ -24,9 +23,6 @@ IN_DOMAIN = [
     ("mex_to_crank", 1, "3,3,2,1"),
     ("crank_to_mex", 1, "4,4,1"),
 ]
-
-# the maps that run one public arm map, which checks j again
-RUN_AN_ARM_MAP = {"fold_complement", "unfold_complement", "mex_to_crank", "crank_to_mex"}
 
 
 @pytest.mark.parametrize("j", [-1, True, 1.5, "1", None], ids=repr)
@@ -51,4 +47,4 @@ def test_a_valid_call_checks_j_once(monkeypatch, name, j, text):
     for module in (core, maps):
         monkeypatch.setattr(module, "_check_nonnegative", counting)
     getattr(maps, name)(j, lam)
-    assert calls == [("j", j)] * (2 if name in RUN_AN_ARM_MAP else 1)
+    assert calls == [("j", j)]

@@ -45,16 +45,23 @@ def test_unchecked_kernels_match_the_public_functions_and_their_definitions():
             for v in range(j + 1, mex):
                 rest.remove(v)
             split = MexDecomposition(j, mex - j - 1, Partition(rest))
-            assert _mex_split(j, lam) == mex_split(j, lam) == split
+            assert mex_split(j, lam) == split
+            # the kernels take sorted parts; the split gives them sorted, the
+            # join a buffer for the caller to seal
+            assert _mex_split(j, parts) == (split.run, rest)
             for run in range(4):
                 if j + run + 1 in parts:
-                    for join in (_mex_join, mex_join):
+                    for join, arg in ((_mex_join, parts), (mex_join, lam)):
                         with pytest.raises(DomainError, match="excluded by the mex split"):
-                            join(j, run, lam)
+                            join(j, run, arg)
                 else:
                     added = tuple(range(j + 1, j + run + 1))
                     joined = Partition(sorted(parts + added, reverse=True))
-                    assert _mex_join(j, run, lam) == mex_join(j, run, lam) == joined
+                    assert mex_join(j, run, lam) == joined
+                    assert sorted(_mex_join(j, run, parts), reverse=True) == list(joined.parts)
+                    # a run of 0 returns the rest itself
+                    assert (_mex_join(j, run, parts) is parts) == (run == 0)
+                    assert (mex_join(j, run, lam) is lam) == (run == 0)
 
 
 def test_class_masks_agree_with_the_statistics():

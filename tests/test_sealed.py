@@ -16,6 +16,7 @@ can reach, stays a ``PartitionError``.
 
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -111,7 +112,9 @@ def test_negate_crank_and_conjugate_seal_each_output_once(monkeypatch):
 
 def test_untraced_runs_seal_a_fixed_number_of_times(monkeypatch):
     # the running example at j = 1 and 3 takes 4 and 3 steps; a traced fold
-    # seals the mex split and each step, an untraced run only its two ends
+    # seals the mex split and each step, an untraced fold only the split start
+    # (for its cap, since the run steps) and the output, and an untraced unfold
+    # from a partition only its output
     golden = pathlib.Path(__file__).parent / "golden"
     calls = []
 
@@ -129,10 +132,70 @@ def test_untraced_runs_seal_a_fixed_number_of_times(monkeypatch):
         assert (len(trace), len(calls)) == (steps, 1 + steps)
         calls.clear()
         assert maps._folded(j, lam, False) == image
-        assert len(calls) == 2  # the mex split and the end state
+        assert len(calls) == 2  # the split start and the output
         calls.clear()
         assert maps._unfolded(j, image, False) == lam
-        assert len(calls) == 2  # the end state and the mex join
+        assert len(calls) == 1  # the output of the mex join
+
+
+_UNTRACED = (
+    [getattr(maps, name) for name in (
+        "detach_step", "attach_step", "to_low_crank", "from_low_crank", "mex_to_crank",
+        "crank_to_mex")]
+    + [lambda j, lam, odd=odd, body=body: body(j, lam, odd)
+       for body in (maps._folded, maps._unfolded) for odd in (False, True)]
+    + [lambda j, lam: negate_crank(lam)]
+)
+
+
+def test_every_map_call_seals_its_output_once(monkeypatch):
+    # The stages of a map pass sorted lists, so a call seals its output once,
+    # and nothing when the output is its input.  An untraced run that steps
+    # from a start held as a list (a split, a detached or a from-low start)
+    # seals it too, for its cap.  A traced map also seals each state of its
+    # trace: its start, if not the input, and the partition of every step.
+    seals, stepped = [], []
+    iterate = maps._iterate
+
+    def counting(buf):
+        seals.append(len(buf))
+        return _sealed(buf)
+
+    def watched(start, *args):
+        end = iterate(start, *args)
+        stepped.append(end is not start and type(start[2]) is list)
+        return end
+
+    _patch_sealed(monkeypatch, counting)
+    monkeypatch.setattr(maps, "_iterate", watched)
+    seen = Counter()
+    for n in range(13):
+        for lam in partitions_of(n):
+            for j in range(4):
+                for f in _UNTRACED + [fold, unfold, fold_complement, unfold_complement]:
+                    seals.clear()
+                    stepped.clear()
+                    try:
+                        out = f(j, lam)
+                    except DomainError:
+                        assert seals == [], (f, j, lam)
+                        continue
+                    if isinstance(out, tuple):  # a traced map
+                        out, trace = out
+                        states = len(trace) + (trace.start.lam is not lam)
+                        expected = states + (out is not trace.end.lam)
+                    else:
+                        expected = (out is not lam) + sum(stepped)
+                    assert len(seals) == expected, (f, j, lam)
+                    seen["calls"] += 1
+                    seen["unmoved"] += out is lam
+                    seen["list starts"] += sum(stepped)
+                if j + 1 not in lam.parts and not lam.has_arm(j):
+                    # unfold has no part j + 1 to absorb: no step, no join
+                    assert maps._unfolded(j, lam, False) is lam is unfold(j, lam)[0]
+                    seen["unmoved unfolds"] += 1
+    # unmoved outputs and runs stepping from a list occur in the scan
+    assert min(seen.values()) > 400, seen
 
 
 @pytest.mark.parametrize(

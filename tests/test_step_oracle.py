@@ -112,15 +112,21 @@ def test_fold_and_unfold_steps_match_the_reference():
 
 def _run(start, move, direction, steps=None):
     try:
-        return _iterate(start, move, direction, steps)
+        end = _iterate(start, move, direction, steps)
     except IterationLimitError as exc:
         return str(exc)
+    if type(end[2]) is list:  # untraced, and stepped or started from a sorted list
+        assert steps is None
+        j, k, parts, odd = end
+        return j, k, Partition(parts), odd
+    return end
 
 
 def test_iterations_with_and_without_a_trace_agree_and_replay():
     # _iterate builds states only when it keeps a trace; both runs must end
     # alike, also from the bare (j, k, lam, odd) tuple that the untraced
-    # bodies pass, and every traced step must be what the public step map returns
+    # bodies pass, and from one that holds the parts as a sorted list, and
+    # every traced step must be what the public step map returns
     ends = Counter()
     for j, k, parts, odd in _states():
         start = PairState(j, k, Partition(parts), odd=odd)
@@ -134,6 +140,8 @@ def test_iterations_with_and_without_a_trace_agree_and_replay():
             assert _run(start, move, direction) == end, (direction, start)
             bare_end = _run(bare, move, direction)
             assert bare_end == end, (direction, start)
+            listed = (j, k, list(parts), odd)
+            assert _run(listed, move, direction) == end, (direction, start)
             if not steps and not isinstance(end, str):
                 assert bare_end is bare, (direction, start)  # no step: the start itself
             for s in steps:
