@@ -319,14 +319,11 @@ class Partition:
 def _sealed(buf: list) -> Partition:
     """Partition of the parts in ``buf``, which is sorted here in place.
 
-    Builds every map output, once per map call, from integer arithmetic on the
-    parts of a validated partition.  The maps put new parts at the head of
-    ``buf``, so the reversed sort finds the untouched ones as one run in one
-    linear pass.  The sort sets the order; this checks what it leaves open, a
-    positive smallest part and an exact ``int`` weight (a float, ``Decimal``,
-    ``Fraction`` or incomparable part is named), and the cap on the weight,
-    always recomputed.  A bad part is a map bug (:class:`IterationLimitError`);
-    only the cap, which valid inputs reach, raises :class:`PartitionError`.
+    Builds every map output, once per call, from integer arithmetic on valid
+    parts, new ones at the head of ``buf`` (the reversed sort finds the others as
+    one run).  It checks what the sort leaves open: a positive smallest part and an
+    exact ``int`` weight, whose failure is a map bug (:class:`IterationLimitError`,
+    naming the part), and the weight cap, which valid inputs reach (:class:`PartitionError`).
     """
     try:
         buf.sort(reverse=True)
@@ -359,7 +356,7 @@ def _sorted(buf: list) -> list:
 
 
 def _in_order(buf: list, where: str) -> list:
-    """``buf``, built in order by ``where``; a misordered part, which a sort would hide, is named."""
+    """``buf``, built in order by ``where``: a misordered part, which a sort hides, is named."""
     try:
         ordered = buf == sorted(buf, reverse=True)
     except TypeError:  # a part that does not compare with int: named below
@@ -424,11 +421,7 @@ def mex_join(j: int, run: int, rest: Partition) -> Partition:
 
 
 def _mex_join(j: int, run: int, parts: Sequence[int]) -> Sequence[int]:
-    """Unchecked :func:`mex_join` on sorted ``parts``: ``parts`` itself for run 0, else a list.
-
-    The containment check is part of the join's domain, not of its
-    arguments' types, so it stays here.
-    """
+    """Unchecked :func:`mex_join` on sorted ``parts``, its domain checked; run 0 returns them."""
     if j + run + 1 in parts:
         raise DomainError(
             f"rest must not contain the part {j + run + 1} excluded by the mex split"

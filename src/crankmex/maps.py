@@ -21,32 +21,27 @@ which forces the crank down to ``-j`` or below), the crank-negating involution
 :func:`crank_to_mex` that carries the odd-mex class with a part ``j`` onto the
 partitions of crank at least ``j``.
 
-Every function is pure.  Each direction has one private body, ``_folded`` or
-``_unfolded``.  Only the four traced maps run it through :func:`fold_pair` or
-:func:`unfold_pair`, which build their traces; :func:`mex_to_crank`,
-:func:`crank_to_mex`, the theorem suite's fold rows and the CLI's ``map`` and
-``table`` run it without one.  States (:class:`PairState`), trace steps
-(:class:`TraceStep`) and traces (:class:`Trace`) are named tuples, so they
-compare and hash by their fields and equal the plain tuple of them;
-``len(trace)`` counts the steps.
+Every function is pure.  Each direction has one start, ``_fold_start`` or
+``_unfold_start``, and one body on it, ``_folded`` or ``_unfolded``, which only
+the four traced maps run through :func:`fold_pair` or :func:`unfold_pair`; the
+suite's fold rows and the CLI's ``map`` and ``table`` run it untraced, and
+:func:`mex_to_crank` and :func:`crank_to_mex` run the start alone.  States
+(:class:`PairState`), trace steps (:class:`TraceStep`) and traces
+(:class:`Trace`) are named tuples: they compare and hash by their fields and
+equal the plain tuple of them; ``len(trace)`` counts the steps.
 
 Every public map checks its ``j`` once, first; the bodies, the moves and the
-stage kernels (``_detach``, ``_attach``, ``_to_low``, ``_from_low``,
-``_negated``, core's ``_mex_split`` and ``_mex_join``, each looked up when it
-runs) check none.  The stages pass sorted lists (``core._sorted``): an untraced
-call seals its output, and the list start of a run that steps, for its cap.
+stage kernels (``_detach``, ``_attach``, ``_to_low``, ``_from_low``, ``_negated``,
+core's ``_mex_split``, ``_mex_join``) check none and pass sorted parts on.
 
 Each direction has one move, ``_fold_move`` and ``_unfold_move``, on the bare
 fields ``(j, k, odd, parts)`` of a state.  One Durfee scan (fold) or one
 binary search for the part ``s + 1`` (unfold) decides whether the state is
-terminal; the Durfee scan also decides which case applies.  Each edit
-deletes parts where they stand and puts its new parts at the head of its
-buffer (see ``core._sealed``).  :func:`fold_step` and :func:`unfold_step`
-wrap a move in a :class:`StepResult`; the iterated maps loop on the move
-itself (``_iterate``), and only a traced run seals every state into a
-:class:`PairState`.  ``_BIJECTIONS`` declares the four pairs once, with their
-classes and what they carry; the theorem suite, the CLI's map choices and the
-tests read it.
+terminal and, for a fold, its case.  Each edit deletes parts where they stand
+and puts new ones at the head of its buffer (see ``core._sealed``).
+:func:`fold_step` and :func:`unfold_step` wrap a move in a :class:`StepResult`;
+``_iterate`` loops on the move itself.  ``_BIJECTIONS`` declares the four pairs
+once, with their classes and what they carry, for the suite, CLI and tests.
 """
 
 from __future__ import annotations
@@ -151,6 +146,15 @@ class PairState(_PairFields):
     def pair_weight(self) -> int:
         m = self.staircase_len
         return m * (m + 1) // 2 + self.j * m + self.lam.weight
+
+
+class _BareStart(_PairFields):  # an untraced run's (j, k, parts, odd), read for its cap
+    __slots__ = ()
+
+    @property
+    def pair_weight(self) -> int:  # as PairState's, with the parts' sum
+        m = 2 * self.k + self.odd
+        return m * (m + 1) // 2 + self.j * m + sum(self.lam)
 
 
 class StepResult(NamedTuple):
@@ -321,23 +325,19 @@ def _iterate(
 ) -> tuple:
     """Apply ``move`` from ``start`` until it reports the terminal state.
 
-    ``start`` is a :class:`PairState` or, for a run without a trace, the bare
-    tuple ``(j, k, lam, odd)`` of one, whose ``lam`` may be a sorted list.  A
-    run that takes no step returns ``start`` itself; a bare start that steps
-    is sealed into a :class:`PairState` first, since the cap reads its pair
-    weight.  With a list ``steps``, each step is sealed and appended as a
-    :class:`TraceStep`, and the end is the last one's :class:`PairState`.
-    Without one, each buffer goes through ``core._sorted`` and on to the next
-    move, and the end is the bare tuple ``(j, k, buf, odd)``: no weight check
-    in between can fail, as the weight only grows along a fold run and only
-    shrinks along an unfold run.
+    ``start`` is a :class:`PairState` or, untraced, a bare ``(j, k, parts, odd)``
+    with sorted parts, made a ``_BareStart`` for the cap if it steps; a run with
+    no step returns it.  With a list ``steps``, each step is sealed and appended
+    as a :class:`TraceStep`, and the end is the last one's :class:`PairState`.
+    Without, each buffer goes through ``core._sorted``, unsealed as lam only gains
+    weight along a fold and loses it along an unfold, and the end is ``(j, k, buf, odd)``.
     """
     j, k, lam, odd = start
-    result = move(j, k, odd, lam if type(lam) is list else lam._parts)
+    result = move(j, k, odd, lam if type(start) is tuple else lam._parts)
     if result is None:
         return start
-    if type(start) is tuple:  # a bare start is sealed only once it steps
-        start = tuple.__new__(PairState, (j, k, _sealed(lam) if type(lam) is list else lam, odd))
+    if type(start) is tuple:
+        start = tuple.__new__(_BareStart, start)
     # Loose cap; legal runs finish far earlier, so exceeding it is a bug.
     cap = 2 * start.pair_weight + 2 * start.k + 4
     cur = start
@@ -373,9 +373,8 @@ def unfold_pair(state: PairState) -> tuple[PairState, Trace]:
     return end, tuple.__new__(Trace, ("unfold", state, end, tuple(steps)))
 
 
-# The stage kernels: on sorted parts and a validated j, each raises DomainError
-# outside its domain (building the text only then) or returns its edit buffer,
-# which its map seals and a composite passes to _sorted for the next stage.
+# The stage kernels, on sorted parts and a validated j: each raises DomainError outside
+# its domain or returns its edit buffer, for its map to seal or a composite to _sorted.
 def _detach(j: int, parts: Sequence[int]) -> list[int]:
     d = _durfee_size(parts, j)
     if not (d and parts[d - 1] - d == j):
@@ -444,48 +443,56 @@ def _negated(parts: Sequence[int]) -> list[int]:
     return _in_order(out, "negate_crank")  # built in order: checked, not sorted
 
 
-# One body per direction for the maps below, which check j first: it checks the
-# domain, runs the moves from a bare start through ``pair`` (on it sealed,
-# unchecked, into a PairState) or else _iterate with no step list, runs the last
-# kernel and seals the output unless it is lam itself.  A later DomainError is
-# a bug, re-raised as IterationLimitError naming the traced map or ``where``.
-def _folded(j: int, lam: Partition, odd: bool, pair=None):
-    # no part j + 1: the run is 0, with no split built (an odd entry then rejects lam)
-    run, rest = _mex_split(j, lam._parts) if j + 1 in lam._parts else (0, lam)
+# The bodies of the maps below, which check j first: each runs the moves from its start, through
+# ``pair`` or untraced, then its last kernel, and seals the output unless it is lam or the
+# trace's end.  A later DomainError is a bug, re-raised as IterationLimitError naming the map.
+def _fold_start(j: int, parts: Sequence[int], odd: bool) -> tuple:
+    """A fold's bare start: with no part ``j + 1``, run 0 and ``parts`` itself."""
+    run, rest = _mex_split(j, parts) if j + 1 in parts else (0, parts)
     if run % 2 != odd:
         parity = "even" if odd else "odd"
-        raise DomainError(f"{lam.to_text()!r} does not have an {parity} mex offset at j={j}")
-    if pair is None:  # the end is lam itself, or a sorted list
-        end = _iterate((j, run // 2, rest, odd), _fold_move, "fold")[2]
-    else:
-        start = (j, run // 2, rest if rest is lam else _sealed(rest), odd)
-        (_, _, end, _), trace = pair(tuple.__new__(PairState, start))
+        raise DomainError(f"{_text(parts)!r} does not have an {parity} mex offset at j={j}")
+    return j, run // 2, rest, odd
+
+
+def _unfold_start(j: int, parts: Sequence[int], odd: bool) -> tuple:
+    """An unfold's bare start: ``parts`` detached if ``odd``, else ``parts`` with no arm ``j``."""
     if odd:
-        try:
-            end = _attach(j, end if type(end) is list else end._parts)
-        except DomainError as exc:
-            raise _invariant_broken("fold_complement", exc) from exc
-    out = _sealed(end) if type(end) is list else end
+        parts = _sorted(_detach(j, parts))
+    elif _has_arm(parts, j):
+        raise DomainError(f"{_text(parts)!r} has arm {j}; unfolding requires it absent")
+    return j, 0, parts, odd
+
+
+def _folded(j: int, lam: Partition, odd: bool, pair=None):
+    start, out = _fold_start(j, lam._parts, odd), lam
+    if pair is None:
+        end = _iterate(start, _fold_move, "fold")[2]
+    else:
+        start = (j, start[1], lam if start[2] is lam._parts else _sealed(start[2]), odd)
+        (_, _, out, _), trace = pair(tuple.__new__(PairState, start))
+        end = out._parts
+    try:
+        end = _attach(j, end) if odd else end
+    except DomainError as exc:
+        raise _invariant_broken("fold_complement", exc) from exc
+    out = out if end is out._parts else _sealed(end)
     return out if pair is None else (out, trace)
 
 
-def _unfolded(j: int, lam: Partition | list[int], odd: bool, pair=None, where=None):
-    parts = lam if type(lam) is list else lam._parts  # a list from crank_to_mex
-    if odd:
-        lam = parts = _sorted(_detach(j, parts))
-    elif _has_arm(parts, j):
-        raise DomainError(f"{_text(parts)!r} has arm {j}; unfolding requires it absent")
-    if pair is None:  # the end is lam itself, or a sorted list
-        _, k, end, _ = _iterate((j, 0, lam, odd), _unfold_move, "unfold")
+def _unfolded(j: int, lam: Partition, odd: bool, pair=None):
+    start, out = _unfold_start(j, lam._parts, odd), lam
+    if pair is None:
+        _, k, end, _ = _iterate(start, _unfold_move, "unfold")
     else:
-        start = (j, 0, _sealed(lam) if type(lam) is list else lam, odd)
-        (_, k, end, _), trace = pair(tuple.__new__(PairState, start))
-    rest = end if type(end) is list else end._parts
+        start = (j, 0, lam if start[2] is lam._parts else _sealed(start[2]), odd)
+        (_, k, out, _), trace = pair(tuple.__new__(PairState, start))
+        end = out._parts
     try:
-        out = _mex_join(j, 2 * k + odd, rest)
+        end = _mex_join(j, 2 * k + odd, end)  # a join of run 0 returns its parts
     except DomainError as exc:
-        raise _invariant_broken(where or ("unfold_complement" if odd else "unfold"), exc) from exc
-    out = _sealed(out) if type(out) is list else end  # a join of run 0 returns its parts
+        raise _invariant_broken("unfold_complement" if odd else "unfold", exc) from exc
+    out = out if end is out._parts else _sealed(end)
     return out if pair is None else (out, trace)
 
 
@@ -597,12 +604,9 @@ def mex_to_crank(j: int, lam: Partition) -> Partition:
         raise DomainError("defined only for partitions of weight at least 2")
     if j and j not in lam._parts:
         raise DomainError(f"{lam.to_text()!r} has no part {j}")
-    run, rest = _mex_split(j, lam._parts) if j + 1 in lam._parts else (0, lam)  # as _folded
-    if run % 2:
-        raise DomainError(f"{lam.to_text()!r} does not have an odd mex offset at j={j}")
-    end = _iterate((j, run // 2, rest, False), _fold_move, "fold")[2]
+    end = _iterate(_fold_start(j, lam._parts, False), _fold_move, "fold")[2]
     try:
-        return _sealed(_negated(_sorted(_to_low(j, end if type(end) is list else end._parts))))
+        return _sealed(_negated(_sorted(_to_low(j, end))))
     except DomainError as exc:
         raise _invariant_broken("mex_to_crank", exc) from exc
 
@@ -615,7 +619,9 @@ def crank_to_mex(j: int, lam: Partition) -> Partition:
         raise DomainError(f"{lam.to_text()!r} has crank {crank} < {j}")
     low = _sorted(_negated(lam._parts))  # of crank -crank
     try:
-        return _unfolded(j, _sorted(_from_low(j, low, -crank)), False, where="crank_to_mex")
+        start = _unfold_start(j, _sorted(_from_low(j, low, -crank)), False)
+        _, k, end, _ = _iterate(start, _unfold_move, "unfold")
+        return _sealed(_mex_join(j, 2 * k, end))
     except DomainError as exc:
         raise _invariant_broken("crank_to_mex", exc) from exc
 

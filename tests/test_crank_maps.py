@@ -164,6 +164,18 @@ def test_crank_to_mex_computes_the_crank_once(monkeypatch):
     assert len(cases) == 450
 
 
+@pytest.mark.parametrize("j,source", [(1, "4,2,1"), (0, "5,3,1"), (2, "4,2,2,1")])
+def test_crank_to_mex_trusts_the_negated_crank(monkeypatch, j, source):
+    # a negation that breaks the crank but not the order (an ascending
+    # conjugate) is caught by the from-low stage's count of 1s: the crank it is
+    # handed is the input's, negated, and is not computed again
+    conjugate = maps._conjugate_parts
+    monkeypatch.setattr(maps, "_conjugate_parts", lambda parts: sorted(conjugate(parts)))
+    with pytest.raises(IterationLimitError) as info:
+        crank_to_mex(j, P(source))
+    assert str(info.value) == "missing guaranteed trailing 1s (bug)"
+
+
 def test_composite_keeps_the_iteration_cap(monkeypatch):
     # a move that grows the staircase forever: never terminal, never fixed;
     # it gives up on its own long after the cap (14 steps here), so a missing

@@ -316,11 +316,11 @@ def test_complement_maps_run_as_the_plain_maps_one_step_up():
 def test_iteration_cap_boundary(keep_trace, extra):
     # A fake move that steps `cap + extra` times and then reports the
     # terminal state: exactly `cap` steps end normally, one more is an error
-    # raised after `cap + 1` move calls.  A bare (j, k, lam, odd) start, as an
+    # raised after `cap + 1` move calls.  A bare (j, k, parts, odd) start, as an
     # untraced body passes it, gets the same cap once it steps.
     state = PairState(1, 2, P("2,1"))  # staircase (5,4,3,2): pair weight 17
     cap = 2 * 17 + 2 * 2 + 4
-    for start in (state, tuple(state)):
+    for start in (state, (1, 2, (2, 1), False)):
         calls = []
 
         def move(j, k, odd, parts):

@@ -112,9 +112,8 @@ def test_negate_crank_and_conjugate_seal_each_output_once(monkeypatch):
 
 def test_untraced_runs_seal_a_fixed_number_of_times(monkeypatch):
     # the running example at j = 1 and 3 takes 4 and 3 steps; a traced fold
-    # seals the mex split and each step, an untraced fold only the split start
-    # (for its cap, since the run steps) and the output, and an untraced unfold
-    # from a partition only its output
+    # seals the mex split and each step, and an untraced fold or unfold only
+    # its output
     golden = pathlib.Path(__file__).parent / "golden"
     calls = []
 
@@ -132,7 +131,7 @@ def test_untraced_runs_seal_a_fixed_number_of_times(monkeypatch):
         assert (len(trace), len(calls)) == (steps, 1 + steps)
         calls.clear()
         assert maps._folded(j, lam, False) == image
-        assert len(calls) == 2  # the split start and the output
+        assert len(calls) == 1  # the output, not the split start
         calls.clear()
         assert maps._unfolded(j, image, False) == lam
         assert len(calls) == 1  # the output of the mex join
@@ -149,11 +148,11 @@ _UNTRACED = (
 
 
 def test_every_map_call_seals_its_output_once(monkeypatch):
-    # The stages of a map pass sorted lists, so a call seals its output once,
-    # and nothing when the output is its input.  An untraced run that steps
-    # from a start held as a list (a split, a detached or a from-low start)
-    # seals it too, for its cap.  A traced map also seals each state of its
-    # trace: its start, if not the input, and the partition of every step.
+    # The stages of a map pass sorted parts, so a call seals its output once,
+    # and nothing when the output is its input, also when its run steps from
+    # a start held as a list (a split, detached or from-low start).  A traced
+    # map also seals each state of its trace: its start, if not the input,
+    # and the partition of every step.
     seals, stepped = [], []
     iterate = maps._iterate
 
@@ -185,7 +184,7 @@ def test_every_map_call_seals_its_output_once(monkeypatch):
                         states = len(trace) + (trace.start.lam is not lam)
                         expected = states + (out is not trace.end.lam)
                     else:
-                        expected = (out is not lam) + sum(stepped)
+                        expected = out is not lam
                     assert len(seals) == expected, (f, j, lam)
                     seen["calls"] += 1
                     seen["unmoved"] += out is lam

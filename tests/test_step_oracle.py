@@ -115,7 +115,7 @@ def _run(start, move, direction, steps=None):
         end = _iterate(start, move, direction, steps)
     except IterationLimitError as exc:
         return str(exc)
-    if type(end[2]) is list:  # untraced, and stepped or started from a sorted list
+    if type(end) is tuple:  # untraced, and stepped or started bare: its sorted parts
         assert steps is None
         j, k, parts, odd = end
         return j, k, Partition(parts), odd
@@ -124,13 +124,13 @@ def _run(start, move, direction, steps=None):
 
 def test_iterations_with_and_without_a_trace_agree_and_replay():
     # _iterate builds states only when it keeps a trace; both runs must end
-    # alike, also from the bare (j, k, lam, odd) tuple that the untraced
-    # bodies pass, and from one that holds the parts as a sorted list, and
-    # every traced step must be what the public step map returns
+    # alike, also from the bare (j, k, parts, odd) tuple that the untraced
+    # bodies pass, with the parts as a tuple or a sorted list, and every
+    # traced step must be what the public step map returns
     ends = Counter()
     for j, k, parts, odd in _states():
         start = PairState(j, k, Partition(parts), odd=odd)
-        bare = tuple(start)
+        bare = (j, k, start.lam.parts, odd)
         for direction, move, step in (
             ("fold", _fold_move, fold_step),
             ("unfold", _unfold_move, unfold_step),
@@ -143,7 +143,8 @@ def test_iterations_with_and_without_a_trace_agree_and_replay():
             listed = (j, k, list(parts), odd)
             assert _run(listed, move, direction) == end, (direction, start)
             if not steps and not isinstance(end, str):
-                assert bare_end is bare, (direction, start)  # no step: the start itself
+                # no step: the start itself
+                assert _iterate(bare, move, direction) is bare, (direction, start)
             for s in steps:
                 assert s.direction == direction
                 assert step(s.before) == StepResult(s.after, s.case, s.d), (direction, start)
