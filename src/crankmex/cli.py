@@ -53,10 +53,12 @@ MAX_J = 1000
 MAX_VERIFY_WEIGHT = 40
 
 # Upper bound on the weight of a map or trace input.  A run at weight n takes
-# up to (n - 1) // 2 steps, each copying and sorting every part, so time grows
-# with the square of the weight; memory does too under trace, which keeps each
-# step.  At this bound the worst input, a hook under unfold, takes 0.2 s and
-# 15 MB peak RSS under map, 2.0 s and 113 MB under trace (2 vCPU Xeon, Python 3.11).
+# up to (n - 1) // 2 steps (the step law that tests/test_acceptance.py's
+# test_criterion_8_termination_under_cap checks), each copying and sorting
+# every part, so time grows with the square of the weight; memory does too
+# under trace, which keeps each step.  At this bound the worst input, a hook
+# under unfold, takes 0.12 s and 15.4 MB peak RSS under map, 1.7 s and 113 MB
+# under trace (one process, best of 3; 2 vCPU Xeon, Python 3.11.7).
 MAX_MAP_WEIGHT = 5000
 
 

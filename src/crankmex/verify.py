@@ -284,38 +284,36 @@ def _bijection(name, pair, classes, min_weight, odd, carried):
     The check looks its maps and ``carried`` up by name in ``maps`` when it
     runs, so a patched or wrapped one is the one checked.  A traced pair
     (``odd`` not None) runs its bodies ``_folded``/``_unfolded`` with that
-    flag, as ``crankmex map`` does, and builds no trace.  The check verifies
-    weight, ``carried(parts, j)``, injectivity, the image set and round trips.
-    It compares ``carried`` only on an image that is a new object: an image
-    that is its input itself (a fold run that takes no step) carries all of it.
+    flag, as ``crankmex map`` does, and builds no trace.  Past the count row's
+    size test, each domain element must keep its weight and ``carried(parts,
+    j)``, map into the codomain and come back under the backward map: with
+    equal finite sizes, a bijection and its inverse.  ``carried`` is compared
+    only on an image that is a new object: an image that is its input itself
+    (a fold run that takes no step) carries all of it.
     """
     (forward, backward), (domain, codomain), traced = pair, classes, odd is not None
     if traced:  # the bodies that the traced maps and the composites share
         forward, backward = "_folded", "_unfolded"
+    sizes = _count(domain, codomain)
 
     def check(cell):
+        if failure := sizes(cell):
+            return failure
         j, keep = cell.j, carried and getattr(maps, carried)
         fwd_map, bwd_map = getattr(maps, forward), getattr(maps, backward)
-        # keyed by part tuples, which hash and compare in C; the fields are
-        # read directly, as this loop touches every element of every class
-        fwd = {}
+        # fields read directly, part tuples hashed in C: this loop sees every element
+        targets = {nu._parts for nu in cell.classes[codomain]}
         for lam in cell.classes[domain]:
             image = fwd_map(j, lam, odd) if traced else fwd_map(j, lam)
             if image._weight != lam._weight:
                 return lam.to_text(), "weight not preserved"
             if keep and image is not lam and keep(lam._parts, j) != keep(image._parts, j):
                 return lam.to_text(), "conserved quantity broken"
-            fwd[lam._parts] = image._parts
-        images = set(fwd.values())
-        if len(images) != len(fwd):
-            return None, "forward map is not injective"
-        targets = cell.classes[codomain]
-        if images != {nu._parts for nu in targets}:
-            return None, "forward image differs from the stated codomain"
-        for nu in targets:
-            back = bwd_map(j, nu, odd) if traced else bwd_map(j, nu)
-            if fwd.get(back._parts) != nu._parts:
-                return nu.to_text(), "backward map does not invert the forward map"
+            if image._parts not in targets:
+                return lam.to_text(), "image outside the stated codomain"
+            back = bwd_map(j, image, odd) if traced else bwd_map(j, image)
+            if back._parts != lam._parts:
+                return lam.to_text(), "backward map does not invert the forward map"
         return None
 
     return f"bijection-{name}", min_weight, check
@@ -375,9 +373,9 @@ def run_theorem_suite(max_weight: int = 25, max_j: int = 12) -> VerificationRepo
     Weight-below-2 cells of the crank identities are reported as skipped (the
     identities assume weight at least 2).  Failures become report content,
     never exceptions; each failing check carries a concrete counterexample
-    where one exists.  A bound that is not a non-negative ``int`` (a ``bool``
-    included), or a ``max_weight`` above ``ENUMERATION_LIMIT``, raises
-    :class:`DomainError`.
+    where one exists, as every bijection failure but a size mismatch does.  A
+    bound that is not a non-negative ``int`` (a ``bool`` included), or a
+    ``max_weight`` above ``ENUMERATION_LIMIT``, raises :class:`DomainError`.
     """
     _check_max_weight(max_weight)
     _check_nonnegative("max_j", max_j)

@@ -424,6 +424,14 @@ def _one_part(body, j, lam):
     return Partition((lam.weight,) if lam.weight else ())
 
 
+def _without_first_low_crank(classes):
+    def patched(classified, j):
+        found = classes(classified, j)
+        return {**found, "low_crank": found["low_crank"][1:]}
+
+    return patched
+
+
 # (module, name, replacement built from the original, failing cell, counterexample, note)
 _BROKEN = [
     ("maps", "negate_crank", lambda f: lambda lam: Partition(f(lam).parts + (1,)),
@@ -440,9 +448,13 @@ _BROKEN = [
      ("bijection-fold", 2, 1), "1,1", "conserved quantity broken"),
     ("maps", "_folded",
      _on_flag(False, lambda body, j, lam: body(j, _COLLIDING.get(lam.parts, lam), False)),
-     ("bijection-fold", 6, 0), None, "forward map is not injective"),
+     ("bijection-fold", 6, 0), "4,2", "backward map does not invert the forward map"),
     ("maps", "_unfolded", _on_flag(True, lambda body, j, lam: lam),
-     ("bijection-fold-complement", 4, 0), "2,2", "backward map does not invert the forward map"),
+     ("bijection-fold-complement", 4, 0), "3,1", "backward map does not invert the forward map"),
+    ("maps", "to_low_crank", lambda f: lambda j, lam: lam,
+     ("bijection-low-crank", 2, 0), "2", "image outside the stated codomain"),
+    ("verify", "_classes", _without_first_low_crank,
+     ("bijection-low-crank", 2, 0), None, "1 != 0"),
 ]
 
 
