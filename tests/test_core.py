@@ -259,6 +259,20 @@ def test_durfee_triple():
     assert P("2,2").durfee_triple() == DurfeeTriple(2, (1, 0), (1, 0))
 
 
+def test_durfee_round_trip():
+    for text in ("", "5,3,2,2", "2,2", "1,1,1", "9", "6,6,6,1"):
+        lam = P(text)
+        triple = lam.durfee_triple()
+        # the rebuild from (size, arms, legs): rows of the square, then the rows
+        # below it, whose lengths are read off the legs
+        size, arms, legs = triple
+        rows = [arms[i] + i + 1 for i in range(size)]
+        for i in range(size + 1, legs[0] + 2 if size else 0):
+            rows.append(sum(1 for u in range(size) if legs[u] + u + 1 >= i))
+        assert Partition(rows) == lam
+        assert lam.weight == triple.size + sum(triple.arms) + sum(triple.legs)
+
+
 def test_mex_split_examples():
     dec = mex_split(1, P("11,8,7,7,5,5,4,3,2,2"))
     assert (dec.run, dec.rest) == (4, P("11,8,7,7,5,2"))

@@ -4,7 +4,7 @@ The step maps' conservation laws, inversions and fixed points are checked
 over the enumerated state space by acceptance criterion 9.
 """
 
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crankmex import PairState, Partition, mex_join, mex_split, partitions_of
@@ -43,12 +43,6 @@ def test_durfee_size_monotonicity(lam, j):
 
 
 @given(partitions())
-@example(Partition(()))
-@example(Partition((5, 3, 2, 2)))
-@example(Partition((2, 2)))
-@example(Partition((1, 1, 1)))
-@example(Partition((9,)))
-@example(Partition((6, 6, 6, 1)))
 def test_durfee_triple_round_trip(lam):
     triple = lam.durfee_triple()
     # the rebuild from (size, arms, legs): rows of the square, then the rows
