@@ -3,19 +3,21 @@
 The package has four layers:
 
 * :mod:`crankmex.core` — the :class:`Partition` value type with its statistics
-  (crank, mex above ``j``, shifted Durfee sizes, arm coordinates), plus the
-  Durfee and mex decompositions.
+  (crank, mex above ``j``, shifted Durfee sizes, arm coordinates), the
+  Durfee and mex decompositions, and the exhaustive enumeration
+  :func:`partitions_of`.
 * :mod:`crankmex.maps` — the staircase step maps and every bijection built
   from them, through the composite crank/mex correspondence.
-* :mod:`crankmex.verify` — exhaustive enumeration, exact counting series, the
-  crank table, and the theorem suite that re-proves every identity at desk
-  scale with element-by-element witnesses.
+* :mod:`crankmex.verify` — exact counting series, the crank table, and the
+  theorem suite that re-proves every identity at desk scale with
+  element-by-element witnesses.
 * :mod:`crankmex.cli` — the ``crankmex`` command-line frontend.
 
 ``import crankmex`` loads ``core`` and ``maps``.  ``crankmex.verify``, its
 names and ``__all__`` load on first access (``crankmex.verify``,
 ``crankmex.run_theorem_suite``, ``from crankmex import *``, ``dir(crankmex)``),
-so a process that only builds partitions and runs maps never compiles it.
+so a process that only builds, enumerates and maps partitions never compiles
+it: ``crankmex.partitions_of`` is :mod:`crankmex.core`'s.
 """
 
 import importlib

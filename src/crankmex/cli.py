@@ -8,9 +8,9 @@ checks pass, 1 domain or parse error or an unwritable output, 2 verification
 failure, 3 internal error (a broken invariant or any other exception: a bug,
 never a bad input).
 
-Only ``table`` and ``verify`` load :mod:`crankmex.verify`, and ``json`` is
-loaded only to print or write records, so ``stats``, ``map`` and ``trace``
-in text format start without either.
+Only ``verify`` loads :mod:`crankmex.verify` (``table`` enumerates with
+:func:`~crankmex.core.partitions_of`), and ``json`` is loaded only to print or
+write records, so every other command in text format starts without either.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 from . import maps
 from .core import (
     DomainError, Partition, PartitionError, _check_nonnegative, _invariant_broken, _parse_int,
+    partitions_of,
 )
 
 __all__ = ["main"]
@@ -267,8 +268,6 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .verify import partitions_of
-
     weight, j = args.weight, args.j
     if weight < 2:
         raise DomainError("the crank correspondence assumes weight at least 2")

@@ -2,14 +2,16 @@
 
 A partition is a finite non-increasing sequence of positive integers.  All
 values here are immutable and every operation is a pure function, so they can
-be shared freely between concurrent workers.
+be shared freely between concurrent workers.  The enumeration
+:func:`partitions_of` lives here too, so that ``crankmex table`` and
+``crankmex.partitions_of`` run without compiling :mod:`crankmex.verify`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import countOf, neg
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "MAX_WEIGHT",
@@ -21,6 +23,8 @@ __all__ = [
     "MexDecomposition",
     "mex_split",
     "mex_join",
+    "ENUMERATION_LIMIT",
+    "partitions_of",
 ]
 
 # Everything in this package runs at desk scale; the cap only guards against
@@ -401,12 +405,20 @@ def mex_split(j: int, lam: Partition) -> MexDecomposition:
 
 
 def _mex_split(j: int, parts: Sequence[int]) -> tuple[int, list[int]]:
-    """Unchecked :func:`mex_split` of sorted ``parts``: ``run`` and ``rest`` as a sorted list."""
-    run = _mex(parts, j) - j - 1
+    """Unchecked :func:`mex_split` of sorted ``parts``: ``run`` and ``rest`` as a sorted list.
+
+    Works up from the small end: the parts ``j+1, j+2, ...`` sit just above
+    the parts ``<= j``, so one copy of the parts plus a bisection per run part
+    finds and deletes them, O(len(parts) + run * log(len(parts))).
+    """
     rest = list(parts)
-    for v in range(j + 1, j + run + 1):
-        rest.remove(v)
-    return run, rest
+    end = bisect_left(rest, -j, key=neg)  # the first part <= j
+    v = j + 1
+    while end and rest[end - 1] == v:
+        end = bisect_left(rest, -v, 0, end, key=neg)  # the first copy of v
+        del rest[end]
+        v += 1
+    return v - j - 1, rest
 
 
 def mex_join(j: int, run: int, rest: Partition) -> Partition:
@@ -429,3 +441,27 @@ def _mex_join(j: int, run: int, parts: Sequence[int]) -> Sequence[int]:
     if run == 0:
         return parts
     return [*range(j + 1, j + run + 1), *parts]
+
+
+ENUMERATION_LIMIT = 60
+
+
+def _raw_partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    if n == 0:
+        yield ()
+        return
+    for head in range(min(n, cap), 0, -1):
+        for tail in _raw_partitions(n - head, head):
+            yield (head,) + tail
+
+
+def partitions_of(n: int) -> Iterator[Partition]:
+    """Yield every partition of ``n`` once, in lexicographically decreasing order.
+
+    A weight above ``ENUMERATION_LIMIT`` raises :class:`DomainError`.
+    """
+    _check_nonnegative("n", n)
+    if n > ENUMERATION_LIMIT:
+        raise DomainError(f"enumeration limit is {ENUMERATION_LIMIT}, got weight {n}")
+    for raw in _raw_partitions(n, n):
+        yield Partition(raw)

@@ -1,19 +1,22 @@
-"""Exhaustive enumeration, counting oracles, and the theorem suite.
+"""Counting oracles, the crank table, and the theorem suite.
 
 All series arithmetic is exact integer arithmetic; enumeration order is fixed
 (lexicographically decreasing) so that reports and golden files are stable.
+The enumeration, :func:`~crankmex.core.partitions_of`, is defined in
+:mod:`crankmex.core` and imported here: the suite and the crank table call it
+as this module's global ``partitions_of``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .core import DomainError, Partition, _check_nonnegative, _durfee_size
+from .core import (
+    ENUMERATION_LIMIT, DomainError, Partition, _check_nonnegative, _durfee_size, partitions_of,
+)
 from . import maps
 
 __all__ = [
-    "ENUMERATION_LIMIT",
-    "partitions_of",
     "crank_table",
     "partition_series",
     "odd_mex_series",
@@ -22,35 +25,12 @@ __all__ = [
     "run_theorem_suite",
 ]
 
-ENUMERATION_LIMIT = 60
-
-
-def _raw_partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for head in range(min(n, cap), 0, -1):
-        for tail in _raw_partitions(n - head, head):
-            yield (head,) + tail
-
 
 def _check_max_weight(max_weight: int) -> None:
     """Reject a ``max_weight`` bound before anything is enumerated."""
     _check_nonnegative("max_weight", max_weight)
     if max_weight > ENUMERATION_LIMIT:
         raise DomainError(f"max_weight is capped at {ENUMERATION_LIMIT}")
-
-
-def partitions_of(n: int) -> Iterator[Partition]:
-    """Yield every partition of ``n`` once, in lexicographically decreasing order.
-
-    A weight above ``ENUMERATION_LIMIT`` raises :class:`DomainError`.
-    """
-    _check_nonnegative("n", n)
-    if n > ENUMERATION_LIMIT:
-        raise DomainError(f"enumeration limit is {ENUMERATION_LIMIT}, got weight {n}")
-    for raw in _raw_partitions(n, n):
-        yield Partition(raw)
 
 
 def _crank_row(n: int, cranks) -> dict[int, int]:

@@ -1,5 +1,6 @@
 """The statistics kernels and the suite's classification masks, each checked
-against its definition written out by brute force."""
+against its definition written out by brute force, and the mex split also
+against ``references.py`` at large weights."""
 
 from itertools import count
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from crankmex import DomainError, MexDecomposition, Partition, mex_join, mex_split, partitions_of
 from crankmex.core import _has_arm, _mex, _mex_join, _mex_split
 from crankmex.verify import _class_masks
+from references import ref_mex_split, seeded_partitions
 
 MAX_N = 18
 
@@ -62,6 +64,18 @@ def test_unchecked_kernels_match_the_public_functions_and_their_definitions():
                     # a run of 0 returns the rest itself
                     assert (_mex_join(j, run, parts) is parts) == (run == 0)
                     assert (mex_join(j, run, lam) is lam) == (run == 0)
+    # the split at weights 200..1000 and with many copies of each run value,
+    # against the crankmex-free reference; it copies its input list
+    hook = (2500,) + (1,) * 2500
+    staircase = tuple(v for v in range(12, 0, -1) for _ in range(40))
+    long_inputs = [(parts, range(6)) for parts in seeded_partitions()]
+    for parts, js in (*long_inputs, (hook, (0, 1)), (staircase, (0, 1))):
+        for j in js:
+            given = list(parts)
+            run, rest = ref_mex_split(j, parts)
+            split = _mex_split(j, given)
+            assert split == (run, list(rest)), (j, parts)
+            assert split[1] is not given and given == list(parts)
 
 
 def test_class_masks_agree_with_the_statistics():

@@ -287,8 +287,8 @@ def test_reports_do_not_share_results():
 
 def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
     # compared with a snapshot taken before the import, so what site loads
-    # at start-up does not count; then the per-partition commands, in text
-    # format, must not load the suite's module or json either
+    # at start-up does not count; then the per-partition commands and table,
+    # in text format, must not load the suite's module or json either
     code = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -299,6 +299,7 @@ def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
         "        ['trace', 'fold', '11,8,7,7,5,5,4,3,2,2', '--j', '1'],\n"
         "        ['map', 'mex-to-crank', '11,8,7,7,5,5,4,3,2,2'],\n"
         "        ['stats', '11,8,7,7,5,5,4,3,2,2'],\n"
+        "        ['table', '--weight', '9', '--j', '0'],\n"
         "    )]\n"
         "print(codes, sorted({'crankmex.verify', 'json'} & (set(sys.modules) - before)))\n"
     )
@@ -307,7 +308,7 @@ def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     ).stdout
-    assert out == "[]\n[0, 0, 0] []\n"
+    assert out == "[]\n[0, 0, 0, 0] []\n"
 
 
 def test_suite_bounds_validation():
