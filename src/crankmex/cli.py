@@ -57,9 +57,8 @@ MAX_VERIFY_WEIGHT = 40
 # up to (n - 1) // 2 steps (the step law that tests/test_acceptance.py's
 # test_criterion_8_termination_under_cap checks), each copying and sorting
 # every part, so time grows with the square of the weight; memory does too
-# under trace, which keeps each step.  At this bound the worst input, a hook
-# under unfold, takes 0.12 s and 15.4 MB peak RSS under map, 1.7 s and 113 MB
-# under trace (one process, best of 3; 2 vCPU Xeon, Python 3.11.7).
+# under trace, which keeps each step.  README "Command line" gives the cost of
+# the worst input at this bound.
 MAX_MAP_WEIGHT = 5000
 
 

@@ -325,18 +325,18 @@ def _iterate(
 ) -> tuple:
     """Apply ``move`` from ``start`` until it reports the terminal state.
 
-    ``start`` is a :class:`PairState` or, untraced, a bare ``(j, k, parts, odd)``
-    with sorted parts, made a ``_BareStart`` for the cap if it steps; a run with
-    no step returns it.  With a list ``steps``, each step is sealed and appended
-    as a :class:`TraceStep`, and the end is the last one's :class:`PairState`.
-    Without, each buffer goes through ``core._sorted``, unsealed as lam only gains
-    weight along a fold and loses it along an unfold, and the end is ``(j, k, buf, odd)``.
+    ``steps`` picks the mode, and a run that takes no step returns ``start``.  Traced, ``start``
+    is a :class:`PairState`, each step is sealed and appended to the list ``steps`` as a
+    :class:`TraceStep`, and the end is the last one's :class:`PairState`.  Untraced (``steps``
+    None), ``start`` is a bare ``(j, k, parts, odd)`` with sorted parts, made a ``_BareStart``
+    for the cap if it steps; each buffer goes through ``core._sorted``, unsealed as lam only
+    gains weight along a fold and loses it along an unfold, and the end is ``(j, k, buf, odd)``.
     """
     j, k, lam, odd = start
-    result = move(j, k, odd, lam if type(start) is tuple else lam._parts)
+    result = move(j, k, odd, lam if steps is None else lam._parts)
     if result is None:
         return start
-    if type(start) is tuple:
+    if steps is None:
         start = tuple.__new__(_BareStart, start)
     # Loose cap; legal runs finish far earlier, so exceeding it is a bug.
     cap = 2 * start.pair_weight + 2 * start.k + 4

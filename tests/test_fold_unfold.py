@@ -316,30 +316,30 @@ def test_complement_maps_run_as_the_plain_maps_one_step_up():
 def test_iteration_cap_boundary(keep_trace, extra):
     # A fake move that steps `cap + extra` times and then reports the
     # terminal state: exactly `cap` steps end normally, one more is an error
-    # raised after `cap + 1` move calls.  A bare (j, k, parts, odd) start, as an
-    # untraced body passes it, gets the same cap once it steps.
+    # raised after `cap + 1` move calls.  A traced run starts from a PairState,
+    # an untraced one from a bare (j, k, parts, odd), as the untraced bodies
+    # pass it, and gets the same cap once it steps.
     state = PairState(1, 2, P("2,1"))  # staircase (5,4,3,2): pair weight 17
     cap = 2 * 17 + 2 * 2 + 4
-    for start in (state, (1, 2, (2, 1), False)):
-        calls = []
+    start, steps = (state, []) if keep_trace else ((1, 2, (2, 1), False), None)
+    calls = []
 
-        def move(j, k, odd, parts):
-            calls.append(parts)
-            if len(calls) > cap + extra:
-                return None
-            return 1, 0, k, list(parts)
+    def move(j, k, odd, parts):
+        calls.append(parts)
+        if len(calls) > cap + extra:
+            return None
+        return 1, 0, k, list(parts)
 
-        steps = [] if keep_trace else None
-        if extra:
-            with pytest.raises(IterationLimitError) as info:
-                maps._iterate(start, move, "fold", steps)
-            assert str(info.value) == f"fold iteration exceeded the cap of {cap} steps"
-        else:
-            # an untraced run ends around the sorted list of its last step
-            j, k, lam, odd = maps._iterate(start, move, "fold", steps)
-            assert (j, k, tuple(lam), odd) == (1, 2, (2, 1), False)
-            assert steps is None or len(steps) == cap
-        assert len(calls) == cap + 1, type(start)
+    if extra:
+        with pytest.raises(IterationLimitError) as info:
+            maps._iterate(start, move, "fold", steps)
+        assert str(info.value) == f"fold iteration exceeded the cap of {cap} steps"
+    else:
+        # an untraced run ends around the sorted list of its last step
+        j, k, lam, odd = maps._iterate(start, move, "fold", steps)
+        assert (j, k, tuple(lam), odd) == (1, 2, (2, 1), False)
+        assert steps is None or len(steps) == cap
+    assert len(calls) == cap + 1
 
 
 def test_zero_run_starts_never_split(monkeypatch):

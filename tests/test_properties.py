@@ -4,10 +4,10 @@ The step maps' conservation laws, inversions and fixed points are checked
 over the enumerated state space by acceptance criterion 9.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crankmex import PairState, Partition, mex_join, mex_split, partitions_of
+from crankmex import Partition, mex_join, mex_split, partitions_of
 
 
 @st.composite
@@ -117,14 +117,17 @@ def _assert_run_structure(trace):
 
 @settings(max_examples=60)
 @given(partitions(max_part=10, max_len=7), st.integers(0, 6))
+@example(Partition([7, 1, 1, 1, 1, 1, 1]), 0)  # unfold takes the law's 6 steps
+@example(Partition([2, 2, 2, 2, 2, 2, 1]), 0)  # its image: fold takes 6 back
 def test_trace_lengths_stay_under_cap(lam, j):
-    from crankmex import fold, unfold
+    # the step law that criterion 8 checks exactly to weight 25: a run of any
+    # of the four traced maps at weight n takes at most (n - 1) // 2 steps.
+    # Each input lies in the domain of one of fold and fold_complement (by the
+    # mex offset's parity) and of one of unfold and unfold_complement (by arm j)
+    from crankmex import fold, fold_complement, unfold, unfold_complement
 
-    if lam.has_odd_mex(j):
-        dec = mex_split(j, lam)
-        state = PairState(j, dec.run // 2, dec.rest)
-        _, trace = fold(j, lam)
-        assert len(trace) <= 2 * state.pair_weight + 2 * state.k + 4
-    if lam.avoids_arm(j):
-        _, trace = unfold(j, lam)
-        assert len(trace) <= 2 * lam.weight + 4
+    law = max(0, (lam.weight - 1) // 2)
+    _, trace = (fold if lam.has_odd_mex(j) else fold_complement)(j, lam)
+    assert len(trace) <= law, (j, lam)
+    _, trace = (unfold_complement if lam.has_arm(j) else unfold)(j, lam)
+    assert len(trace) <= law, (j, lam)
