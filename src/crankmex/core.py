@@ -114,15 +114,6 @@ def _has_arm(parts: tuple[int, ...], j: int) -> bool:
     return d > 0 and parts[d - 1] - d == j
 
 
-def _mex(parts: tuple[int, ...], j: int) -> int:
-    """Unchecked :meth:`Partition.mex` for a validated ``j``."""
-    candidate = j + 1
-    values = set(parts)
-    while candidate in values:
-        candidate += 1
-    return candidate
-
-
 def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
     """Parts of the conjugate of the non-increasing ``parts``, as a list.
 
@@ -265,11 +256,11 @@ class Partition:
     def mex(self, j: int = 0) -> int:
         """Smallest integer greater than ``j`` that is not a part.
 
-        ``mex(0)`` is the classical minimal excludant; for the empty
-        partition ``mex(j) == j + 1``.
+        ``mex(0)`` is the classical minimal excludant.  It is ``j + 1`` plus
+        the run of :func:`mex_split`, so ``j + 1`` for the empty partition.
         """
         _check_nonnegative("j", j)
-        return _mex(self._parts, j)
+        return j + 1 + _mex_split(j, self._parts)[0]
 
     def has_odd_mex(self, j: int = 0) -> bool:
         """Whether ``mex(j) - j`` is odd (the mex parity differs from ``j``)."""
@@ -397,20 +388,23 @@ class MexDecomposition(NamedTuple):
 def mex_split(j: int, lam: Partition) -> MexDecomposition:
     """Remove the maximal run of consecutive parts ``j+1, ..., j+run``.
 
-    ``run == lam.mex(j) - j - 1``; total on all partitions.
+    ``run == lam.mex(j) - j - 1``; total on all partitions.  A run of 0
+    leaves ``lam`` itself as the rest, as :func:`mex_join` of run 0 returns it.
     """
     _check_nonnegative("j", j)
     run, rest = _mex_split(j, lam._parts)
-    return MexDecomposition(j, run, _sealed(rest))
+    return MexDecomposition(j, run, lam if rest is lam._parts else _sealed(rest))
 
 
-def _mex_split(j: int, parts: Sequence[int]) -> tuple[int, list[int]]:
-    """Unchecked :func:`mex_split` of sorted ``parts``: ``run`` and ``rest`` as a sorted list.
+def _mex_split(j: int, parts: Sequence[int]) -> tuple[int, Sequence[int]]:
+    """Unchecked :func:`mex_split` of sorted ``parts``: ``run`` and ``rest``, sorted.
 
-    Works up from the small end: the parts ``j+1, j+2, ...`` sit just above
-    the parts ``<= j``, so one copy of the parts plus a bisection per run part
-    finds and deletes them, O(len(parts) + run * log(len(parts))).
+    No part ``j + 1`` gives run 0 and ``parts`` itself.  Else, from the small end:
+    the parts ``j+1, j+2, ...`` sit just above the parts ``<= j``, so one list copy
+    plus a bisection per run part finds and deletes them, O(len(parts) + run * log(len(parts))).
     """
+    if j + 1 not in parts:
+        return 0, parts
     rest = list(parts)
     end = bisect_left(rest, -j, key=neg)  # the first part <= j
     v = j + 1

@@ -447,8 +447,8 @@ def _negated(parts: Sequence[int]) -> list[int]:
 # ``pair`` or untraced, then its last kernel, and seals the output unless it is lam or the
 # trace's end.  A later DomainError is a bug, re-raised as IterationLimitError naming the map.
 def _fold_start(j: int, parts: Sequence[int], odd: bool) -> tuple:
-    """A fold's bare start: with no part ``j + 1``, run 0 and ``parts`` itself."""
-    run, rest = _mex_split(j, parts) if j + 1 in parts else (0, parts)
+    """A fold's bare start from the mex split; a run of 0 keeps ``parts`` itself."""
+    run, rest = _mex_split(j, parts)
     if run % 2 != odd:
         parity = "even" if odd else "odd"
         raise DomainError(f"{_text(parts)!r} does not have an {parity} mex offset at j={j}")

@@ -342,10 +342,9 @@ def test_iteration_cap_boundary(keep_trace, extra):
     assert len(calls) == cap + 1
 
 
-def test_zero_run_starts_never_split(monkeypatch):
-    # the split side's one zero-run shortcut: with no part j + 1, fold and
-    # mex_to_crank start from (empty staircase, lam) without calling _mex_split,
-    # and fold_complement rejects lam without calling it either
+def test_zero_run_starts_never_split():
+    # a run of 0 splits off nothing: with no part j + 1, the split returns
+    # lam's own parts object, and fold starts from (empty staircase, lam)
     cases = [
         (j, lam)
         for n in range(11)
@@ -353,21 +352,12 @@ def test_zero_run_starts_never_split(monkeypatch):
         for j in range(4)
         if not lam.has_part(j + 1)
     ]
-    folded = [fold(j, lam) for j, lam in cases]
-    high = {
-        (j, lam): maps.mex_to_crank(j, lam)
-        for j, lam in cases
-        if lam.weight >= 2 and lam.has_part(j)
-    }
-    assert high
-
-    def no_split(j, lam):
-        raise AssertionError(f"_mex_split({j}, {lam!r}) called on a zero run")
-
-    monkeypatch.setattr(maps, "_mex_split", no_split)
-    assert [fold(j, lam) for j, lam in cases] == folded
-    assert {key: maps.mex_to_crank(*key) for key in high} == high
-    # the odd entry rejects them all, and with the same message, unsplit
+    for j, lam in cases:
+        run, rest = maps._mex_split(j, lam.parts)
+        assert run == 0 and rest is lam.parts
+        assert mex_split(j, lam).rest is lam
+        assert fold(j, lam)[1].start.lam is lam
+    # the odd entry rejects them all, with the parity message
     for j, lam in cases:
         with pytest.raises(DomainError) as info:
             fold_complement(j, lam)
